@@ -19,6 +19,7 @@ from .traces import (
     indices_by_size,
     occupancy_words,
     positions_of,
+    size_layer_mask,
 )
 
 TRIANGLE = "TRIANGLE"
@@ -61,7 +62,7 @@ class CertificateAssignment:
     assigned maps member mask -> certificate mask. fibers groups members by
     assigned certificate; strata groups them by certificate size. Lists are
     canonically sorted and dict keys ascend, so equal inputs build equal
-    objects.
+    objects. occupancy keeps build_assignment's words for validate.
     """
 
     family: UniformFamily
@@ -69,6 +70,7 @@ class CertificateAssignment:
     assigned: dict = field(default_factory=dict)
     fibers: dict = field(default_factory=dict)
     strata: dict = field(default_factory=dict)
+    occupancy: dict | None = field(default=None, compare=False, repr=False)
 
     def certificate_of(self, F: SubsetWord) -> SubsetWord:
         return SubsetWord(self.assigned[F.bits], self.family.n)
@@ -82,24 +84,29 @@ class CertificateAssignment:
     def validate(self, check_tie_break: bool = True):
         """Re-derive everything and fail loudly on any mismatch.
 
-        With check_tie_break the assigned map must equal a fresh canonical
-        build; without it (custom assignments) only certificate validity,
-        grouping consistency, and the fiber-size facts are enforced.
+        With check_tie_break each certificate must be the canonical choice: no
+        unrealized trace is larger or of equal size and canonically earlier.
+        Without it (custom assignments) only certificate validity, grouping
+        consistency, and the fiber-size facts are enforced.
         """
         fam = self.family
         if set(self.assigned) != set(fam.masks):
             raise InvariantViolation("assignment domain differs from the family")
-        occs = dict(zip(fam.masks, occupancy_words(fam.masks, fam.k)))
+        occs = self.occupancy or dict(zip(fam.masks, occupancy_words(fam.masks, fam.k)))
+        layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
         for m in fam.masks:
             c = self.assigned[m]
             if c & ~m or c == m:
                 raise InvariantViolation(f"assigned {c:#x} is not a proper subset of {m:#x}")
-            if occs[m] >> compress_trace(c, positions_of(m)) & 1:
+            ci = compress_trace(c, positions_of(m))
+            unrealized = ~occs[m]
+            if not unrealized >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
-        if check_tie_break:
-            rebuilt = build_assignment(fam, self.d)
-            if self.assigned != rebuilt.assigned:
-                raise InvariantViolation("assignment differs from the canonical build")
+            if check_tie_break:
+                size = popcount(c)
+                preferred = sum(layers[size + 1 :]) | layers[size] & ((1 << ci) - 1)
+                if unrealized & preferred:
+                    raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
         regroup_fibers = {}
         regroup_strata = {}
         for m in fam.masks:
@@ -152,7 +159,9 @@ def build_assignment(fam: UniformFamily, d: int, prefer=None) -> CertificateAssi
         if cert is None:
             raise MemberShattered(SubsetWord(m, fam.n), d)
         assigned[m] = cert
-    return assemble_assignment(fam, d, assigned)
+    assign = assemble_assignment(fam, d, assigned)
+    assign.occupancy = dict(zip(masks, occs))
+    return assign
 
 
 def assemble_assignment(fam: UniformFamily, d: int, assigned: dict) -> CertificateAssignment:

@@ -245,10 +245,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_input(path: str):
+    """The input file's bytes (for the manifest) and the family they hold."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    return raw, load_family(path)
+
+
 def cmd_vc(args) -> int:
     t0 = time.monotonic()
-    raw = open(args.input, "rb").read()
-    fam = load_family(args.input)
+    raw, fam = _load_input(args.input)
     vc = vc_dimension(fam)
     payload = {
         "n": fam.n,
@@ -275,8 +284,7 @@ def cmd_vc(args) -> int:
 
 def cmd_shadow(args) -> int:
     t0 = time.monotonic()
-    raw = open(args.input, "rb").read()
-    fam = load_family(args.input)
+    raw, fam = _load_input(args.input)
     if not 0 <= args.r < fam.k:
         raise UsageError(f"--r must lie in [0, {fam.k - 1}] for a {fam.k}-uniform family")
     level = fam
@@ -302,8 +310,7 @@ def cmd_shadow(args) -> int:
 
 def cmd_certify(args) -> int:
     t0 = time.monotonic()
-    raw = open(args.input, "rb").read()
-    fam = load_family(args.input)
+    raw, fam = _load_input(args.input)
     assign = build_assignment(fam, args.d)
     hist, biggest = fiber_size_histogram(assign)
     shapes = []
@@ -347,8 +354,7 @@ def cmd_certify(args) -> int:
 
 def cmd_sunflower(args) -> int:
     t0 = time.monotonic()
-    raw = open(args.input, "rb").read()
-    fam = load_family(args.input)
+    raw, fam = _load_input(args.input)
     flower = find_sunflower(fam, args.p)
     if flower is not None and not validate_sunflower(flower):
         raise InvariantViolation("found object failed sunflower validation")
@@ -411,8 +417,7 @@ def _audit_payload(report) -> dict:
 
 def cmd_pipeline(args) -> int:
     t0 = time.monotonic()
-    raw = open(args.input, "rb").read()
-    fam = load_family(args.input)
+    raw, fam = _load_input(args.input)
     report = run_pipeline(fam, args.d, assume_vc=args.assume_vc)
     payload = _audit_payload(report)
     manifest = build_manifest(args, payload, t0, input_bytes=raw)

@@ -6,7 +6,6 @@ stdlib random module.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from .bitwords import k_subset_masks
 from .errors import UsageError
@@ -83,7 +82,7 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
         raise UsageError(f"ground set {n} exceeds 63")
     candidates = list(k_subset_masks(n, d + 1))
     SplitMix64(fseed.seed).shuffle(candidates)
-    tracker = TraceTracker(n, d + 1, comb(n, d + 1))
+    tracker = TraceTracker(n, d + 1)
     for cand in candidates:
         tracker.try_add(cand)
     return UniformFamily.from_masks(n, d + 1, tracker.masks())

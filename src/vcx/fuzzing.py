@@ -80,7 +80,7 @@ def check_family(fam: UniformFamily, d: int, seed: int = -1) -> FamilyCheck:
             )
         shapes[shape.kind] = shapes.get(shape.kind, 0) + 1
 
-    report = run_pipeline(fam, d)
+    report = run_pipeline(fam, d, assign=assign)
     classes: dict = {}
     for label in report.classes.values():
         classes[label] = classes.get(label, 0) + 1

@@ -242,26 +242,30 @@ def select_anchor_pair(g_members, assign_g: CertificateAssignment, n: int) -> tu
     return best[2]
 
 
-def partition_family(fam: UniformFamily, d: int, assume_vc: bool = False) -> PartitionReport:
+def partition_family(
+    fam: UniformFamily, d: int, assume_vc: bool = False, assign: CertificateAssignment | None = None
+) -> PartitionReport:
     """Run the pipeline through class assignment and index-family construction.
 
     For a (d+1)-uniform family, VC <= d is exactly certificate existence for
     every member, so the entry check rides on the assignment build. With
     assume_vc the same failure is reported as an invariant violation instead
-    of a usage error.
+    of a usage error. A caller that already holds the canonical assignment of
+    fam passes it as assign, and the build is skipped.
     """
     if d < 1:
         raise UsageError(f"pipeline needs d >= 1, got d={d}")
     if fam.n < 2:
         raise UsageError(f"pipeline needs n >= 2, got n={fam.n}")
-    try:
-        assign = build_assignment(fam, d)
-    except MemberShattered as exc:
-        if assume_vc:
-            raise InvariantViolation(
-                f"certificate existence failed: {exc}"
-            ) from exc
-        raise UsageError(f"family has VC dimension > d: {exc}") from exc
+    if assign is None:
+        try:
+            assign = build_assignment(fam, d)
+        except MemberShattered as exc:
+            if assume_vc:
+                raise InvariantViolation(f"certificate existence failed: {exc}") from exc
+            raise UsageError(f"family has VC dimension > d: {exc}") from exc
+    elif assign.family != fam or assign.d != d:
+        raise UsageError("the given assignment belongs to a different family or d")
     pc = build_pair_collection(assign)
     g_members, assign_g = build_g_and_reassign(assign, pc)
     i, j = select_anchor_pair(g_members, assign_g, fam.n)
@@ -616,9 +620,11 @@ def audit_bound(report: PartitionReport) -> PartitionReport:
     return report
 
 
-def run_pipeline(fam: UniformFamily, d: int, assume_vc: bool = False) -> PartitionReport:
+def run_pipeline(
+    fam: UniformFamily, d: int, assume_vc: bool = False, assign: CertificateAssignment | None = None
+) -> PartitionReport:
     """partition_family + build_f + verify_column_sums + injection + audit."""
-    report = partition_family(fam, d, assume_vc=assume_vc)
+    report = partition_family(fam, d, assume_vc=assume_vc, assign=assign)
     build_f(report)
     verify_column_sums(report)
     build_injection_g(report)

@@ -3,16 +3,20 @@
 For a member F of a k-uniform family, the traces of other members on F are
 subsets of F; compressing each trace onto F's own bit positions gives an index
 in [0, 2^k), and the set of realized traces becomes a 2^k-bit occupancy word.
-F has a certificate iff some proper-subset bit is still clear. This is the
-inner loop of certificate assignment, the random-maximal generator, and the
-exact search, so a vectorized numpy path backs the plain-Python one.
+F has a certificate iff some proper-subset bit is still clear.
+
+occupancy_words builds all words in one batch (numpy while a word fits an
+int64) for certificate assignment and the pipeline. TraceTracker, the
+generator's incremental form, is plain Python: it indexes the members with one
+proper trace left, so most rejections cost a few dict lookups.
 """
 
 import numpy as np
 
 from .bitwords import popcount
+from .errors import InvariantViolation
 
-# numpy path packs occupancy into int64, so it needs 2^k <= 63 usable bits
+# the batch numpy path packs occupancy into int64, so it needs 2^k <= 63 bits
 _NUMPY_MAX_K = 5
 
 
@@ -110,86 +114,62 @@ def _occupancy_python(masks, k: int) -> list[int]:
 
 
 class TraceTracker:
-    """Incrementally grown k-uniform family with live occupancy words.
+    """Incrementally grown k-uniform family that keeps every member certified.
 
     try_add(G) commits G iff afterwards every member, G included, still has a
     proper subset unrealized as a trace (i.e. keeps a certificate). There is
     no removal: the generator only ever grows its family.
+
+    Each member keeps the set of traces realized on it (its occupancy word in
+    set form, self-trace included), so its memory grows with the traces seen,
+    not with 2^k. G realizes at most one new trace on each member F, namely
+    G & F, so G kills F exactly when F is critical, with a single unrealized
+    proper trace T, and G & F == T. The critical index maps T to those
+    members, which makes the kill test one lookup per proper submask of G.
+    The index is exact because traces only accumulate: a member, once
+    critical, stays critical with the same T until something kills it, and
+    try_add never commits a kill.
     """
 
-    def __init__(self, n: int, k: int, capacity: int):
+    def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self.count = 0
-        self.proper = proper_trace_mask(k)
-        self.full_bit = full_trace_bit(k)
-        self._use_numpy = k <= _NUMPY_MAX_K
-        if self._use_numpy:
-            self._masks = np.zeros(capacity, dtype=np.int64)
-            self._pos = np.zeros((capacity, k), dtype=np.int64)
-            self._occ = np.zeros(capacity, dtype=np.int64)
-        else:
-            self._masks = []
-            self._pos = []
-            self._occ = []
+        self._masks = []
+        self._realized = []  # per member, the set of traces realized on it
+        self._critical = {}  # T -> members whose only unrealized proper trace is T
 
     def masks(self) -> list[int]:
-        if self._use_numpy:
-            return [int(x) for x in self._masks[: self.count]]
         return list(self._masks)
 
     def try_add(self, G: int) -> bool:
-        if self._use_numpy:
-            return self._try_add_numpy(G)
-        return self._try_add_python(G)
-
-    def _try_add_numpy(self, G: int) -> bool:
-        m = self.count
-        gpos = positions_of(G)
-        if m == 0:
-            self._commit_numpy(G, gpos, None, self.full_bit)
-            return True
-        inter = self._masks[:m] & G
-        comp = np.zeros(m, dtype=np.int64)
-        for t in range(self.k):
-            comp |= ((inter >> self._pos[:m, t]) & 1) << t
-        new_occ = self._occ[:m] | (np.int64(1) << comp)
-        if np.any((new_occ & self.proper) == self.proper):
+        critical = self._critical
+        T = G
+        while T:
+            T = (T - 1) & G
+            for F in critical.get(T, ()):
+                if G & F == T:
+                    return False
+        own = {F & G for F in self._masks}
+        own.add(G)
+        everything = 1 << self.k
+        if len(own) == everything:
             return False
-        gcomp = np.zeros(m, dtype=np.int64)
-        for t, p in enumerate(gpos):
-            gcomp |= ((inter >> p) & 1) << t
-        gocc = self.full_bit | int(np.bitwise_or.reduce(np.int64(1) << gcomp))
-        if gocc & self.proper == self.proper:
-            return False
-        self._commit_numpy(G, gpos, new_occ, gocc)
-        return True
-
-    def _commit_numpy(self, G: int, gpos, new_occ, gocc: int):
-        m = self.count
-        if new_occ is not None:
-            self._occ[:m] = new_occ
-        self._masks[m] = G
-        self._pos[m] = gpos
-        self._occ[m] = gocc
-        self.count = m + 1
-
-    def _try_add_python(self, G: int) -> bool:
-        gpos = positions_of(G)
-        new_occs = []
-        for mask, pos, occ in zip(self._masks, self._pos, self._occ):
-            occ |= 1 << compress_trace(mask & G, pos)
-            if occ & self.proper == self.proper:
-                return False
-            new_occs.append(occ)
-        gocc = self.full_bit
-        for mask in self._masks:
-            gocc |= 1 << compress_trace(mask & G, gpos)
-        if gocc & self.proper == self.proper:
-            return False
-        self._occ = new_occs
-        self._occ.append(gocc)
+        for F, realized in zip(self._masks, self._realized):
+            t = F & G
+            if t not in realized:
+                realized.add(t)
+                if len(realized) >= everything - 1:
+                    self._mark_critical(F, realized)
         self._masks.append(G)
-        self._pos.append(gpos)
-        self.count += 1
+        self._realized.append(own)
+        if len(own) == everything - 1:
+            self._mark_critical(G, own)
         return True
+
+    def _mark_critical(self, F: int, realized: set):
+        if len(realized) == 1 << self.k:
+            raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
+        T = F
+        while T in realized:
+            T = (T - 1) & F
+        self._critical.setdefault(T, []).append(F)

@@ -6,6 +6,7 @@ from vcx.certificates import (
     CHERRY,
     SINGLETON,
     TRIANGLE,
+    assemble_assignment,
     build_assignment,
     certificates_of,
     classify_fiber,
@@ -129,6 +130,28 @@ def test_assignment_validate_catches_tampering():
         assign.validate(check_tie_break=False)
     assign.assigned[first] = good
     assign.validate()
+
+
+def test_assignment_validate_catches_non_canonical_choice():
+    """A valid but non-canonical certificate passes only without the tie-break check."""
+    swapped = 0
+    for seed in range(10):
+        fam = random_maximal_vc_family(FuzzSeed(seed, 8, 2))
+        assign = build_assignment(fam, 2)
+        assign.validate()
+        for F in fam.members:
+            top = [c for c in certificates_of(F, fam) if len(c) == 2]
+            if len(top) < 2:
+                continue
+            assigned = dict(assign.assigned)
+            assigned[F.bits] = top[1].bits
+            custom = assemble_assignment(fam, 2, assigned)
+            custom.validate(check_tie_break=False)
+            with pytest.raises(InvariantViolation, match="canonical"):
+                custom.validate()
+            swapped += 1
+            break
+    assert swapped
 
 
 def test_fiber_bound_values():

@@ -155,6 +155,19 @@ def test_usage_and_invariant_exits(tmp_path):
     assert proc.returncode == 2  # but an invariant violation under --assume-vc
 
 
+def test_directory_input_is_a_usage_error(tmp_path):
+    for cmd, extra in [
+        ("vc", []),
+        ("shadow", ["--r", "1"]),
+        ("certify", ["--d", "2"]),
+        ("sunflower", ["--p", "3"]),
+        ("pipeline", ["--d", "2"]),
+    ]:
+        proc = run_cli(cmd, "--input", str(tmp_path), *extra)
+        assert proc.returncode == 1, (cmd, proc.stderr)
+        assert "usage error" in proc.stderr and "Traceback" not in proc.stderr, cmd
+
+
 def test_version_and_help():
     assert run_cli("--version").returncode == 0
     proc = run_cli("--help")

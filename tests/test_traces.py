@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vcx.bitwords import k_subset_masks, popcount
 from vcx.constructions import SplitMix64
 from vcx.traces import (
@@ -81,7 +84,7 @@ def test_tracker_matches_oracle_on_random_sequences():
         k = d + 1
         pool = list(k_subset_masks(n, k))
         rng.shuffle(pool)
-        tracker = TraceTracker(n, k, capacity=len(pool))
+        tracker = TraceTracker(n, k)
         kept = []
         for cand in pool[:18]:
             elems = [tuple(e + 1 for e in range(n) if m >> e & 1) for m in kept + [cand]]
@@ -93,19 +96,37 @@ def test_tracker_matches_oracle_on_random_sequences():
         assert tracker.masks() == kept
 
 
-def test_tracker_python_path_above_numpy_limit():
-    """k = 6 exceeds the vectorized occupancy width, exercising the list path."""
+def test_tracker_k6_matches_oracle():
+    """k = 6 exceeds the batch numpy occupancy width; the tracker has no such limit."""
     rng = SplitMix64(1234)
     n, k = 9, 6
     pool = list(k_subset_masks(n, k))
     rng.shuffle(pool)
-    tracker = TraceTracker(n, k, capacity=12)
-    assert not tracker._use_numpy
+    tracker = TraceTracker(n, k)
     kept = []
     for cand in pool[:12]:
         elems = [tuple(e + 1 for e in range(n) if m >> e & 1) for m in kept + [cand]]
         got = tracker.try_add(cand)
         assert got == oracle_vc_le(n, elems, k - 1), f"cand {cand:#x}"
         if got:
+            kept.append(cand)
+    assert tracker.masks() == kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tracker_agrees_with_recheck_from_scratch(data):
+    """Each try_add verdict equals a fresh occupancy check of kept + [G]."""
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(k, k + 4), label="n")
+    order = data.draw(st.permutations(list(k_subset_masks(n, k))), label="order")
+    proper = proper_trace_mask(k)
+    tracker = TraceTracker(n, k)
+    kept = []
+    for cand in order[:30]:
+        occs = occupancy_words(kept + [cand], k)
+        want = all(occ & proper != proper for occ in occs)
+        assert tracker.try_add(cand) == want, f"cand {cand:#x} after {kept}"
+        if want:
             kept.append(cand)
     assert tracker.masks() == kept
