@@ -147,9 +147,20 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its messages
+    return parse
+
+
 def _common(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    sub.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
 
 
@@ -201,14 +212,14 @@ def make_parser() -> Parser:
     se.add_argument("--mode", choices=("exact", "witness", "order-s"), default="exact")
     se.add_argument("--s", type=int, default=None, help="certificate order for order-s mode")
     se.add_argument("--target", type=int, default=None)
-    se.add_argument("--max-nodes", type=int, default=None)
+    se.add_argument("--max-nodes", type=_at_least(0), default=None)
     se.add_argument("--timeout", type=float, default=None, help="seconds")
     _common(se)
 
     fz = subs.add_parser("fuzz", help="seeded campaign asserting every invariant")
     fz.add_argument("--n", type=int)
     fz.add_argument("--d", type=int)
-    fz.add_argument("--count", type=int, default=100)
+    fz.add_argument("--count", type=_at_least(0), default=100)
     fz.add_argument("--seed0", type=int, default=0)
     fz.add_argument("--artifacts", default="fuzz-artifacts", help="failure dump directory")
     fz.add_argument("--replay", default=None, help="replay a dumped failure manifest")
@@ -225,7 +236,10 @@ def cmd_gen(args) -> int:
         fam = complete_family(args.n, args.d + 1)
     else:
         fam = random_maximal_vc_family(FuzzSeed(args.seed, args.n, args.d))
-    dump_family(fam, args.out)
+    try:
+        dump_family(fam, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from None
     payload = {
         "kind": args.kind,
         "n": fam.n,
@@ -245,14 +259,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_input(path: str):
-    """The input file's bytes (for the manifest) and the family they hold."""
+def _read(path: str, mode: str = "r"):
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, mode) as fh:
+            return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    return raw, load_family(path)
+
+
+def _load_input(path: str):
+    """The input file's bytes (for the manifest) and the family they hold."""
+    return _read(path, "rb"), load_family(path)
 
 
 def cmd_vc(args) -> int:
@@ -521,14 +538,12 @@ def cmd_fuzz(args) -> int:
 
 def _replay(args) -> int:
     """Re-run a dumped fuzz failure and confirm the generation is bit-identical."""
-    with open(args.replay) as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(_read(args.replay))
     n, d, seed = manifest["n"], manifest["d"], manifest["seed"]
     fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
     fam_path = args.replay[:-5] + ".fam" if args.replay.endswith(".json") else None
     if fam_path:
-        recorded = open(fam_path).read()
-        if format_family(fam) != recorded:
+        if format_family(fam) != _read(fam_path):
             raise InvariantViolation("regenerated family differs from the dumped artifact")
     check_family(fam, d, seed=seed)
     print(f"replay of seed {seed} (n={n}, d={d}): no failure reproduced")

@@ -2,12 +2,21 @@
 
 Depth-first branch and bound over all (d+1)-subsets of [n] in canonical
 order, include-branch first. A partial family carries per-member occupancy
-words; a member whose required trace layer fills up is dead, and dead members
-prune the branch. The first chosen member is forced to be the canonical least
-candidate: any nonempty family is isomorphic to one containing it, and the
-reported value is isomorphism-invariant.
+words; a member whose required trace layer fills up is dead. The first chosen
+member is forced to be the canonical least candidate: any nonempty family is
+isomorphic to one containing it, and the reported value is
+isomorphism-invariant.
 
-Three modes share the engine and differ only in the death predicate:
+Forward checking: each node branches over a live list, the later candidates
+that can join the family right now, each with its occupancy word against the
+current family. Adding members only adds traces, so a candidate that would kill
+someone at a node does so in every descendant and is dropped for good. The
+bound is therefore size + len(live), capped at C(n,d). Dropping dead
+candidates and pruning on that bound cut only subtrees that cannot beat the
+incumbent, so results and witnesses match a plain index walk; only node counts
+shrink.
+
+Three modes share the engine and differ only in the required trace layer:
   exact    every member needs some proper subset unrealized (VC <= d)
   witness  exact's predicate, but stop as soon as `target` is reached
   order-s  every member needs an unrealized proper subset of size exactly s
@@ -36,6 +45,14 @@ MODE_WITNESS = "witness"
 MODE_ORDER = "order"
 
 _TIME_CHECK_STRIDE = 4096
+
+# Cost guard, checked before any enumeration. The engine lists all C(n,d+1)
+# candidates with two 2^(d+1)-entry trace tables each, and its DFS recurses
+# once per candidate decision, so the candidate count must stay below Python's
+# default recursion limit (1000). The largest instance the tests, demos and
+# benchmark run, (8,2), has 56 candidates and 448 trace entries.
+MAX_CANDIDATES = 500
+MAX_TRACE_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -74,7 +91,8 @@ class _Engine:
         self.cands = list(k_subset_masks(n, d + 1))
         self.req = required_mask
         self.full_bit = full_trace_bit(self.k)
-        # lut[i][t] = occupancy bit contributed by trace t on candidate i
+        # lut[i][t] = occupancy bit contributed by trace t on candidate i;
+        # trace_of[i] inverts it
         self.luts = []
         for c in self.cands:
             pos = positions_of(c)
@@ -86,6 +104,7 @@ class _Engine:
                     break
                 sub = (sub - c) & c
             self.luts.append(lut)
+        self.trace_of = [{bit: sub for sub, bit in lut.items()} for lut in self.luts]
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.fp_cap = comb(n, d)
@@ -97,85 +116,112 @@ class _Engine:
         self.exhausted = True
 
     def run(self, seed_best: int, seed_witness, stop_at=None):
-        self.best = seed_best
-        self.witness = tuple(seed_witness)
-        self.stop_at = stop_at
-        if stop_at is not None and self.best >= stop_at:
+        if stop_at is not None and seed_best >= stop_at:
+            self.best, self.witness = seed_best, tuple(seed_witness)
             self.stopped = True
             self.exhausted = False
             return
-        root_occ = self.full_bit
-        if root_occ & self.req == self.req:
+        if self.full_bit & self.req == self.req:
             raise InvariantViolation("a single member family cannot be infeasible")
-        try:
-            self._dfs(1, [0], [root_occ], 1)
-        except _Budget:
-            self.exhausted = False
-        if self.stopped:
-            self.exhausted = False
+        self.resume(1, [0], seed_best, stop_at, seed_witness)
 
-    def resume(self, start_index: int, member_indices, seed_best: int, stop_at=None):
+    def resume(self, start_index: int, member_indices, seed_best: int, stop_at=None,
+               seed_witness=()):
         """Run the subtree that has already fixed decisions below start_index."""
         self.best = seed_best
-        self.witness = ()
+        self.witness = tuple(seed_witness)
         self.stop_at = stop_at
-        occs = self._occupancies(member_indices)
+        members = list(member_indices)
+        occs = [self._word(mi, members) for mi in members]
         try:
-            self._dfs(start_index, list(member_indices), occs, len(member_indices))
+            self._dfs(members, occs, self._live(start_index, members, occs))
         except _Budget:
             self.exhausted = False
         if self.stopped:
             self.exhausted = False
 
-    def _occupancies(self, member_indices):
-        masks = [self.cands[i] for i in member_indices]
-        occs = []
-        for i, mi in enumerate(member_indices):
-            occ = self.full_bit
-            lut = self.luts[mi]
-            mask = self.cands[mi]
-            for other in masks:
-                occ |= lut[other & mask]
-            occs.append(occ)
-        return occs
+    def _word(self, j, members):
+        """Occupancy word of candidate j against the members, self-trace included."""
+        H = self.cands[j]
+        lut = self.luts[j]
+        word = self.full_bit
+        for mi in members:
+            word |= lut[self.cands[mi] & H]
+        return word
+
+    def _live(self, start, members, occs):
+        """(index, word) for every candidate from start on that can join the family now."""
+        req = self.req
+        live = []
+        for j in range(start, len(self.cands)):
+            word = self._word(j, members)
+            if word & req == req:
+                continue
+            H = self.cands[j]
+            if any(
+                (occ | self.luts[mi][H & self.cands[mi]]) & req == req
+                for mi, occ in zip(members, occs)
+            ):
+                continue
+            live.append((j, word))
+        return live
 
     def collect_frontier(self, depth: int):
-        """All feasible (members, size) states with decisions fixed for the
+        """All feasible (start, members) states with decisions fixed for the
         first `depth` candidates, in DFS discovery order. Root stays forced."""
         frontier = []
 
-        def walk(i, members, occs, size):
-            if i >= depth or i >= len(self.cands):
-                frontier.append((i, tuple(members)))
+        def walk(members, occs, live):
+            if not live or live[0][0] >= depth:
+                frontier.append((depth, tuple(members)))
                 return
-            incl = self._extend(i, members, occs)
-            if incl is not None:
-                new_occs, gocc = incl
-                walk(i + 1, members + [i], new_occs + [gocc], size + 1)
-            walk(i + 1, members, occs, size)
+            new_occs, tail = self._include(members, occs, live)
+            walk(members + [live[0][0]], new_occs, tail)
+            walk(members, occs, live[1:])
 
-        walk(1, [0], [self.full_bit], 1)
+        walk([0], [self.full_bit], self._live(1, [0], [self.full_bit]))
         return frontier
 
-    def _extend(self, i, members, occs):
-        """Occupancies after adding candidate i, or None if someone dies."""
+    def _include(self, members, occs, live):
+        """The members' words after adding the live head, and the rest of the
+        live list filtered to the candidates that can still join.
+
+        The head is live, so it kills no one. A member whose required traces
+        are now all realized but one is critical: any later candidate whose
+        trace on it is that last one would kill it. Members critical before
+        this step had their killers dropped when they became critical, since
+        traces only accumulate."""
+        i, word = live[0]
         G = self.cands[i]
         req = self.req
+        cands, luts, trace_of = self.cands, self.luts, self.trace_of
         new_occs = []
+        last = []  # (member mask, its last unrealized required trace) for new criticals
         for mi, occ in zip(members, occs):
-            occ2 = occ | self.luts[mi][G & self.cands[mi]]
-            if occ2 & req == req:
-                return None
+            F = cands[mi]
+            occ2 = occ | luts[mi][G & F]
             new_occs.append(occ2)
-        gocc = self.full_bit
-        glut = self.luts[i]
-        for mi in members:
-            gocc |= glut[self.cands[mi] & G]
-        if gocc & req == req:
-            return None
-        return new_occs, gocc
+            rem = req & ~occ2
+            if rem & (rem - 1) == 0 and rem != req & ~occ:
+                last.append((F, trace_of[mi][rem]))
+        new_occs.append(word)
+        rem = req & ~word
+        if rem & (rem - 1) == 0:
+            last.append((G, trace_of[i][rem]))
+        tail = []
+        for j, w in live[1:]:
+            H = cands[j]
+            w |= luts[j][G & H]
+            if w & req == req:
+                continue
+            for F, T in last:
+                if H & F == T:
+                    break
+            else:
+                tail.append((j, w))
+        return new_occs, tail
 
-    def _dfs(self, i, members, occs, size):
+    def _dfs(self, members, occs, live):
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _Budget
@@ -184,23 +230,22 @@ class _Engine:
                 raise _Budget
         if self.stopped:
             return
-        bound = size + len(self.cands) - i
+        size = len(members)
+        bound = size + len(live)
         if bound > self.fp_cap:
             bound = self.fp_cap
         if bound <= self.best:
             return
-        if i == len(self.cands):
+        if not live:
             self._record(size, members)
             return
-        incl = self._extend(i, members, occs)
-        if incl is not None:
-            new_occs, gocc = incl
-            members.append(i)
-            self._dfs(i + 1, members, new_occs + [gocc], size + 1)
-            members.pop()
-            if self.stopped:
-                return
-        self._dfs(i + 1, members, occs, size)
+        new_occs, tail = self._include(members, occs, live)
+        members.append(live[0][0])
+        self._dfs(members, new_occs, tail)
+        members.pop()
+        if self.stopped:
+            return
+        self._dfs(members, occs, live[1:])
 
     def _record(self, size, members):
         if size > self.best:
@@ -235,23 +280,25 @@ def _verify_witness(n: int, d: int, mode: str, s: int | None, witness):
 
 
 def _search(
-    n: int,
-    d: int,
-    mode: str,
-    s: int | None,
-    seed_best: int,
-    seed_witness,
-    stop_at,
-    max_nodes,
-    timeout,
-    threads,
+    n: int, d: int, mode: str, s: int | None, stop_at, max_nodes, timeout, threads
 ) -> SearchResult:
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
     if n > 63:
         raise UsageError(f"ground set {n} exceeds 63")
+    cands = comb(n, d + 1)
+    if cands > MAX_CANDIDATES or cands << (d + 1) > MAX_TRACE_ENTRIES:
+        raise UsageError(
+            f"n={n} d={d} has {cands} candidates of {1 << (d + 1)} traces each; "
+            f"search admits at most {MAX_CANDIDATES} candidates and "
+            f"{MAX_TRACE_ENTRIES} trace entries"
+        )
     if mode == MODE_ORDER and not 0 <= s <= d:
         raise UsageError(f"certificate order must lie in 0..{d}, got {s}")
+    seed_best, seed_witness = 0, ()
+    if mode == MODE_WITNESS:
+        star = star_family(n, d)
+        seed_best, seed_witness = len(star), star.masks
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
     req = _required_mask(d + 1, mode, s)
@@ -326,7 +373,7 @@ def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, dea
 
 def exact_max(n, d, max_nodes=None, timeout=None, threads=1) -> SearchResult:
     """Maximum size of a (d+1)-uniform family over [n] with VC dimension <= d."""
-    return _search(n, d, MODE_EXACT, None, 0, (), None, max_nodes, timeout, threads)
+    return _search(n, d, MODE_EXACT, None, None, max_nodes, timeout, threads)
 
 
 def lower_bound_witness(n, d, target=None, max_nodes=None, timeout=None, threads=1) -> SearchResult:
@@ -343,12 +390,9 @@ def lower_bound_witness(n, d, target=None, max_nodes=None, timeout=None, threads
                 f"no default target for n={n} d={d}; pass target explicitly"
             )
         target = bracket[0]
-    star = star_family(n, d)
-    return _search(
-        n, d, MODE_WITNESS, None, len(star), star.masks, target, max_nodes, timeout, threads
-    )
+    return _search(n, d, MODE_WITNESS, None, target, max_nodes, timeout, threads)
 
 
 def certificate_order_max(n, d, s, max_nodes=None, timeout=None, threads=1) -> SearchResult:
     """Maximum size when every member needs a certificate of size exactly s."""
-    return _search(n, d, MODE_ORDER, s, 0, (), None, max_nodes, timeout, threads)
+    return _search(n, d, MODE_ORDER, s, None, max_nodes, timeout, threads)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
 from vcx.famfile import format_family, load_family
 from vcx.fuzzing import dump_failure_artifact
@@ -166,6 +168,40 @@ def test_directory_input_is_a_usage_error(tmp_path):
         proc = run_cli(cmd, "--input", str(tmp_path), *extra)
         assert proc.returncode == 1, (cmd, proc.stderr)
         assert "usage error" in proc.stderr and "Traceback" not in proc.stderr, cmd
+
+
+def assert_usage_error(proc, *words):
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    for word in words:
+        assert word in proc.stderr, proc.stderr
+
+
+def test_gen_out_directory_is_a_usage_error(tmp_path):
+    proc = run_cli("gen", "--kind", "star", "--n", "5", "--d", "2", "--out", str(tmp_path))
+    assert_usage_error(proc, "cannot write")
+
+
+def test_replay_directory_is_a_usage_error(tmp_path):
+    assert_usage_error(run_cli("fuzz", "--replay", str(tmp_path)), "cannot read")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("search", "--n", "6", "--d", "2", "--threads", "0"),
+        ("fuzz", "--n", "6", "--d", "2", "--count", "-3"),
+        ("search", "--n", "6", "--d", "2", "--max-nodes", "-1"),
+    ],
+    ids=["threads", "count", "max-nodes"],
+)
+def test_out_of_range_counts_are_rejected_at_parse_time(args):
+    assert_usage_error(run_cli(*args), args[-2])
+
+
+def test_search_cost_guard_refuses_huge_instance():
+    # C(63,31) candidates: refused before any enumeration starts
+    assert_usage_error(run_cli("search", "--n", "63", "--d", "30"), "candidates")
 
 
 def test_version_and_help():

@@ -6,6 +6,7 @@ from oracles import oracle_max_family, oracle_vc_le
 from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
+    MAX_CANDIDATES,
     certificate_order_max,
     exact_max,
     lower_bound_witness,
@@ -111,3 +112,68 @@ def test_parallel_search_agrees():
     b = exact_max(6, 2, threads=2)
     assert a.best == b.best
     assert b.optimal
+
+
+# (best, optimal, witness) recorded from the index-walk engine before forward
+# checking; pruning must change node counts only, never what is found
+PINNED_RESULTS = [
+    ((exact_max, 4, 1), 3, True, (3, 5, 6)),
+    ((exact_max, 5, 1), 4, True, (3, 5, 9, 17)),
+    ((exact_max, 5, 2), 10, True, (7, 11, 13, 14, 19, 21, 22, 25, 26, 28)),
+    ((exact_max, 6, 2), 13, True, (7, 11, 13, 14, 19, 21, 22, 25, 35, 37, 38, 42, 52)),
+    ((exact_max, 5, 4), 1, True, (31,)),
+    ((certificate_order_max, 6, 2, 0), 10, True, (7, 11, 13, 14, 19, 21, 22, 25, 26, 28)),
+    ((certificate_order_max, 6, 2, 1), 10, True, (7, 11, 13, 14, 19, 21, 22, 35, 37, 38)),
+    ((certificate_order_max, 6, 2, 2), 10, True, (7, 11, 13, 19, 21, 25, 35, 37, 41, 49)),
+    ((certificate_order_max, 7, 2, 0), 15, True,
+     (7, 11, 13, 19, 21, 25, 35, 37, 41, 49, 67, 69, 73, 81, 97)),
+    ((certificate_order_max, 7, 2, 1), 15, True,
+     (7, 11, 13, 19, 21, 25, 35, 37, 41, 49, 67, 69, 73, 81, 97)),
+    ((certificate_order_max, 7, 2, 2), 15, True,
+     (7, 11, 13, 19, 21, 25, 35, 37, 41, 49, 67, 69, 73, 81, 97)),
+    ((lower_bound_witness, 6, 2), 11, False, (7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 44)),
+    ((lower_bound_witness, 7, 2, 16), 16, False,
+     (7, 11, 13, 14, 19, 21, 22, 25, 35, 37, 38, 42, 52, 67, 69, 70)),
+    ((lower_bound_witness, 8, 2), 22, False,
+     (7, 11, 13, 14, 19, 21, 25, 35, 37, 41, 50, 67, 69, 73, 82, 98, 131, 133, 137, 146,
+      162, 194)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, best, optimal, witness",
+    PINNED_RESULTS,
+    ids=[f"{c[0].__name__}{c[1:]}" for c, *_ in PINNED_RESULTS],
+)
+def test_search_results_are_pinned(call, best, optimal, witness):
+    fn, *args = call
+    r = fn(*args)
+    assert (r.best, r.optimal, r.witness) == (best, optimal, witness)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(exact_max, (5, 1)), (certificate_order_max, (7, 2, 2)), (lower_bound_witness, (7, 2, 16))],
+    ids=["exact", "order", "witness"],
+)
+def test_serial_and_parallel_agree(fn, args):
+    serial = fn(*args)
+    parallel = fn(*args, threads=2)
+    assert (parallel.best, parallel.optimal) == (serial.best, serial.optimal)
+
+
+def test_witness_8_2_reaches_bracket_lower_end():
+    r = lower_bound_witness(8, 2)
+    assert r.target == search_bracket(8, 2)[0] == 22
+    assert r.best == 22
+    assert oracle_vc_le(8, [w.elements() for w in witness_family(r).members], 2)
+
+
+def test_cost_guard_refuses_before_enumerating():
+    assert comb(63, 31) > MAX_CANDIDATES
+    with pytest.raises(UsageError, match="candidates"):
+        exact_max(63, 30)
+    with pytest.raises(UsageError, match="candidates"):
+        lower_bound_witness(63, 30)  # refused before the star seed is built
+    with pytest.raises(UsageError, match="trace entries"):
+        certificate_order_max(40, 39, 1)  # one candidate, but 2^40 traces on it
