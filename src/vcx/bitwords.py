@@ -47,6 +47,15 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
+def shadow_masks(mask: int):
+    """Yield the (|mask|-1)-subsets of `mask`, lowest dropped element first."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        yield mask ^ low
+        rest ^= low
+
+
 def k_subset_masks(n: int, k: int):
     """All k-element subsets of [n] as masks, in canonical (ascending) order.
 

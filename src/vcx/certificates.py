@@ -10,13 +10,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bitwords import popcount, submasks
+from .bitwords import bit, mask_of, popcount, submasks
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import SubsetWord, UniformFamily
 from .traces import (
     compress_trace,
     expand_index,
     indices_by_size,
+    largest_unrealized,
     occupancy_words,
     positions_of,
     size_layer_mask,
@@ -62,7 +63,8 @@ class CertificateAssignment:
     assigned maps member mask -> certificate mask. fibers groups members by
     assigned certificate; strata groups them by certificate size. Lists are
     canonically sorted and dict keys ascend, so equal inputs build equal
-    objects. occupancy keeps build_assignment's words for validate.
+    objects. build_assignment keeps each member's occupancy word and bit
+    positions, so that validate and the pipeline need not recompute them.
     """
 
     family: UniformFamily
@@ -71,6 +73,13 @@ class CertificateAssignment:
     fibers: dict = field(default_factory=dict)
     strata: dict = field(default_factory=dict)
     occupancy: dict | None = field(default=None, compare=False, repr=False)
+    positions: dict | None = field(default=None, compare=False, repr=False)
+
+    def member_positions(self) -> dict:
+        """member mask -> positions_of(mask), computed once per assignment."""
+        if self.positions is None:
+            self.positions = {m: positions_of(m) for m in self.family.masks}
+        return self.positions
 
     def certificate_of(self, F: SubsetWord) -> SubsetWord:
         return SubsetWord(self.assigned[F.bits], self.family.n)
@@ -92,75 +101,74 @@ class CertificateAssignment:
         fam = self.family
         if set(self.assigned) != set(fam.masks):
             raise InvariantViolation("assignment domain differs from the family")
-        occs = self.occupancy or dict(zip(fam.masks, occupancy_words(fam.masks, fam.k)))
+        positions = self.member_positions()
+        occs = self.occupancy or dict(
+            zip(fam.masks, occupancy_words(fam.masks, fam.k, [positions[m] for m in fam.masks]))
+        )
         layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
+        above = [sum(layers[s + 1 :]) for s in range(fam.k)]  # bits of every larger size
+        regroup_fibers = {}
+        regroup_strata = {}
         for m in fam.masks:
             c = self.assigned[m]
             if c & ~m or c == m:
                 raise InvariantViolation(f"assigned {c:#x} is not a proper subset of {m:#x}")
-            ci = compress_trace(c, positions_of(m))
+            ci = compress_trace(c, positions[m])
             unrealized = ~occs[m]
             if not unrealized >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
-            if check_tie_break:
-                size = popcount(c)
-                preferred = sum(layers[size + 1 :]) | layers[size] & ((1 << ci) - 1)
-                if unrealized & preferred:
-                    raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
-        regroup_fibers = {}
-        regroup_strata = {}
-        for m in fam.masks:
-            regroup_fibers.setdefault(self.assigned[m], []).append(m)
-            regroup_strata.setdefault(popcount(self.assigned[m]), []).append(m)
+            size = c.bit_count()
+            if check_tie_break and unrealized & (above[size] | layers[size] & ((1 << ci) - 1)):
+                raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
+            regroup_fibers.setdefault(c, []).append(m)
+            regroup_strata.setdefault(size, []).append(m)
         if {t: tuple(v) for t, v in sorted(regroup_fibers.items())} != self.fibers:
             raise InvariantViolation("fiber grouping is inconsistent with assigned")
         if {s: tuple(v) for s, v in sorted(regroup_strata.items())} != self.strata:
             raise InvariantViolation("strata grouping is inconsistent with assigned")
+        supersets = fam.shadow_count  # d-set -> members containing it
         for t, members in self.fibers.items():
-            if popcount(t) == self.d:
-                supersets = sum(1 for m in fam.masks if t & ~m == 0)
-                if len(members) != 1 or supersets != 1:
-                    raise InvariantViolation(
-                        f"size-d certificate {t:#x} must pin a unique superset member"
-                    )
-            if popcount(t) == self.d - 1 and len(members) > 3:
+            if t.bit_count() == self.d and (len(members) != 1 or supersets[t] != 1):
+                raise InvariantViolation(
+                    f"size-d certificate {t:#x} must pin a unique superset member"
+                )
+            if t.bit_count() == self.d - 1 and len(members) > 3:
                 raise InvariantViolation(f"fiber of {t:#x} has {len(members)} > 3 members")
 
 
 def build_assignment(fam: UniformFamily, d: int, prefer=None) -> CertificateAssignment:
     """Assign every member its canonical maximum certificate.
 
-    Runs on the vectorized occupancy words: for each member, scan compressed
-    subset indices by size descending, take the first unrealized one (ascending
-    index inside a size class is ascending canonical order of the subsets).
+    Runs on the vectorized occupancy words: for each member, take the lowest
+    unrealized compressed index in the largest size layer that has one
+    (ascending index inside a size class is ascending canonical order of the
+    subsets).
     """
     if fam.k != d + 1:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
-    k = fam.k
     masks = fam.masks
-    occs = occupancy_words(masks, k)
-    groups = indices_by_size(k)
+    positions = [positions_of(m) for m in masks]
+    occs = occupancy_words(masks, fam.k, positions)
+    layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
+    groups = indices_by_size(fam.k)
     assigned = {}
-    for m, occ in zip(masks, occs):
-        pos = positions_of(m)
-        cert = None
-        for size in range(d, -1, -1):
-            hit = [c for c in groups[size] if not occ >> c & 1]
-            if hit:
-                if prefer is not None and len(hit) > 1:
-                    cands = [SubsetWord(expand_index(c, pos), fam.n) for c in hit]
-                    choice = prefer(SubsetWord(m, fam.n), cands)
-                    if choice not in cands:
-                        raise UsageError("prefer hook returned a non-candidate certificate")
-                    cert = choice.bits
-                else:
-                    cert = expand_index(hit[0], pos)
-                break
-        if cert is None:
+    for m, occ, pos in zip(masks, occs, positions):
+        best = largest_unrealized(occ, layers)
+        if best is None:
             raise MemberShattered(SubsetWord(m, fam.n), d)
-        assigned[m] = cert
+        size, c = best
+        if prefer is not None and (layers[size] & ~occ).bit_count() > 1:
+            hit = [i for i in groups[size] if not occ >> i & 1]
+            cands = [SubsetWord(expand_index(i, pos), fam.n) for i in hit]
+            choice = prefer(SubsetWord(m, fam.n), cands)
+            if choice not in cands:
+                raise UsageError("prefer hook returned a non-candidate certificate")
+            assigned[m] = choice.bits
+        else:
+            assigned[m] = expand_index(c, pos)
     assign = assemble_assignment(fam, d, assigned)
     assign.occupancy = dict(zip(masks, occs))
+    assign.positions = dict(zip(masks, positions))
     return assign
 
 
@@ -171,7 +179,7 @@ def assemble_assignment(fam: UniformFamily, d: int, assigned: dict) -> Certifica
     for m in fam.masks:  # canonical member order keeps the groupings sorted
         c = assigned[m]
         fibers.setdefault(c, []).append(m)
-        strata.setdefault(popcount(c), []).append(m)
+        strata.setdefault(c.bit_count(), []).append(m)
     return CertificateAssignment(
         family=fam,
         d=d,
@@ -219,21 +227,14 @@ class FiberShape:
         t = self.T.bits
         if self.kind == TRIANGLE:
             x, y, z = self.elements
-            raw = [t | _m(x, y), t | _m(y, z), t | _m(x, z)]
+            raw = [t | mask_of((x, y)), t | mask_of((y, z)), t | mask_of((x, z))]
         elif self.kind == CHERRY:
             a, b, c = self.elements
-            raw = [t | _m(a, b), t | _m(a, c)]
+            raw = [t | mask_of((a, b)), t | mask_of((a, c))]
         else:
             x, y = self.elements
-            raw = [t | _m(x, y)]
+            raw = [t | mask_of((x, y))]
         return tuple(SubsetWord(r, n) for r in sorted(raw))
-
-
-def _m(*elements) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << (e - 1)
-    return out
 
 
 def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
@@ -289,7 +290,7 @@ def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
         return FiberShape(TRIANGLE, T, elems, fiber_words)
     if kind == CHERRY:
         a, b, c = elems
-        bc = _m(b, c)
+        bc = mask_of((b, c))
         side_u = []
         leaf_pair = False
         for m in others:
@@ -297,7 +298,7 @@ def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
             if p == bc:
                 leaf_pair = True
             elif p >> (a - 1) & 1:
-                side_u.append((p & ~_m(a)).bit_length())
+                side_u.append((p & ~bit(a)).bit_length())
             else:
                 raise InvariantViolation(
                     f"superset {m:#x} of cherry fiber {T} avoids the shared element {a}"
@@ -308,9 +309,9 @@ def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
     for m in others:
         p = m & ~t
         if p >> (x - 1) & 1:
-            side_u.append((p & ~_m(x)).bit_length())
+            side_u.append((p & ~bit(x)).bit_length())
         elif p >> (y - 1) & 1:
-            side_v.append((p & ~_m(y)).bit_length())
+            side_v.append((p & ~bit(y)).bit_length())
         else:
             raise InvariantViolation(
                 f"superset {m:#x} of singleton fiber {T} avoids both {x} and {y}"

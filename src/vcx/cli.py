@@ -147,14 +147,14 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+def _at_least(low: int, kind=int):
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:  # NaN fails every comparison, so it is refused too
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = "integer"  # argparse names the type in its messages
+    parse.__name__ = "integer" if kind is int else "number"  # argparse names the type
     return parse
 
 
@@ -213,7 +213,7 @@ def make_parser() -> Parser:
     se.add_argument("--s", type=int, default=None, help="certificate order for order-s mode")
     se.add_argument("--target", type=int, default=None)
     se.add_argument("--max-nodes", type=_at_least(0), default=None)
-    se.add_argument("--timeout", type=float, default=None, help="seconds")
+    se.add_argument("--timeout", type=_at_least(0, float), default=None, help="seconds")
     _common(se)
 
     fz = subs.add_parser("fuzz", help="seeded campaign asserting every invariant")
@@ -538,8 +538,13 @@ def cmd_fuzz(args) -> int:
 
 def _replay(args) -> int:
     """Re-run a dumped fuzz failure and confirm the generation is bit-identical."""
-    manifest = json.loads(_read(args.replay))
-    n, d, seed = manifest["n"], manifest["d"], manifest["seed"]
+    try:
+        manifest = json.loads(_read(args.replay))
+        n, d, seed = (manifest[key] for key in ("n", "d", "seed"))
+        if not all(isinstance(v, int) for v in (n, d, seed)):
+            raise TypeError("n, d and seed must be integers")
+    except (ValueError, KeyError, TypeError) as exc:  # bad JSON, missing key, wrong type
+        raise UsageError(f"malformed replay manifest {args.replay}: {exc!r}") from None
     fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
     fam_path = args.replay[:-5] + ".fam" if args.replay.endswith(".json") else None
     if fam_path:

@@ -6,6 +6,7 @@ stdlib random module.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 from .bitwords import k_subset_masks
 from .errors import UsageError
@@ -17,6 +18,8 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
+# most k-subsets a generator lists; larger requests are refused up front
+MAX_GEN_CANDIDATES = 1 << 18
 
 
 class SplitMix64:
@@ -52,10 +55,16 @@ class FuzzSeed:
     d: int
 
 
+def _check_cost(n: int, k: int):
+    if comb(n, k) > MAX_GEN_CANDIDATES:
+        raise UsageError(f"C({n},{k}) candidates exceed the limit of {MAX_GEN_CANDIDATES}")
+
+
 def star_family(n: int, d: int) -> UniformFamily:
     """All (d+1)-subsets of [n] containing element 1; size C(n-1, d)."""
     if not 0 <= d < n:
         raise UsageError(f"need 0 <= d < n, got n={n} d={d}")
+    _check_cost(n - 1, d)
     masks = [1 | (rest << 1) for rest in k_subset_masks(n - 1, d)]
     return UniformFamily.from_masks(n, d + 1, masks)
 
@@ -64,6 +73,7 @@ def complete_family(n: int, k: int) -> UniformFamily:
     """All k-subsets of [n]."""
     if not 0 <= k <= n:
         raise UsageError(f"need 0 <= k <= n, got n={n} k={k}")
+    _check_cost(n, k)
     return UniformFamily.from_masks(n, k, k_subset_masks(n, k))
 
 
@@ -80,6 +90,7 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
     if n > 63:
         raise UsageError(f"ground set {n} exceeds 63")
+    _check_cost(n, d + 1)
     candidates = list(k_subset_masks(n, d + 1))
     SplitMix64(fseed.seed).shuffle(candidates)
     tracker = TraceTracker(n, d + 1)

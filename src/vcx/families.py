@@ -6,11 +6,12 @@ ground set is integer order on the bits, i.e. colex order on the sets; every
 "least" tie-break in this package means least in that order.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .bitwords import elements_of, k_subset_masks, mask_of, popcount
+from .bitwords import elements_of, k_subset_masks, mask_of, popcount, shadow_masks
 from .errors import UsageError
 
 MAX_GROUND_SET = 63
@@ -120,6 +121,11 @@ class UniformFamily:
     def mask_set(self) -> frozenset:
         return frozenset(self.masks)
 
+    @cached_property
+    def shadow_count(self) -> Counter:
+        """Shadow (k-1)-set mask -> number of members containing it (0 off the shadow)."""
+        return Counter(s for m in self.masks for s in shadow_masks(m))
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -197,14 +203,7 @@ def shadow(fam: UniformFamily) -> ShadowSet:
     """All (k-1)-sets contained in at least one member."""
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
-    seen = set()
-    for m in fam.masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            seen.add(m ^ low)
-            rest ^= low
-    words = tuple(SubsetWord(b, fam.n) for b in sorted(seen))
+    words = tuple(SubsetWord(b, fam.n) for b in sorted(fam.shadow_count))
     return ShadowSet(fam.n, fam.k, words, complement=False)
 
 
@@ -212,13 +211,7 @@ def complement_shadow(fam: UniformFamily) -> ShadowSet:
     """The (k-1)-sets of [n] missing from the shadow."""
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
-    present = set()
-    for m in fam.masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            present.add(m ^ low)
-            rest ^= low
+    present = fam.shadow_count
     words = tuple(
         SubsetWord(b, fam.n) for b in k_subset_masks(fam.n, fam.k - 1) if b not in present
     )

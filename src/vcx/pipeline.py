@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bitwords import k_subset_masks, popcount
+from .bitwords import bit, k_subset_masks, mask_of, popcount, shadow_masks
 from .certificates import (
     CHERRY,
     SINGLETON,
@@ -32,9 +32,10 @@ from .families import UniformFamily
 from .traces import (
     compress_trace,
     expand_index,
-    indices_by_size,
+    largest_unrealized,
     occupancy_words,
     positions_of,
+    size_layer_mask,
 )
 
 H0STAR = "H0STAR"
@@ -142,25 +143,18 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
         if popcount(assign.assigned[m]) >= d - 1 and m not in pc.paired
     ]
     sub = UniformFamily.from_masks(fam.n, fam.k, keep)
-    occs = occupancy_words(sub.masks, sub.k)
-    groups = indices_by_size(sub.k)
+    positions = assign.member_positions()
+    occs = occupancy_words(sub.masks, sub.k, [positions[m] for m in sub.masks])
+    layers = [size_layer_mask(sub.k, s) for s in range(sub.k)]
     cg = {}
     for m, occ in zip(sub.masks, occs):
-        best_size = None
-        best_index = None
-        for size in range(d, -1, -1):
-            for c in groups[size]:
-                if not occ >> c & 1:
-                    best_size, best_index = size, c
-                    break
-            if best_size is not None:
-                break
+        best_size, best_index = largest_unrealized(occ, layers) or (None, None)
         if best_size is None or best_size < d - 1:
             raise InvariantViolation(
                 f"member {m:#x} has maximum survivor certificate of size {best_size}, "
                 f"expected at least d-1"
             )
-        pos = positions_of(m)
+        pos = positions[m]
         if best_size == d:
             cg[m] = expand_index(best_index, pos)
         else:
@@ -205,41 +199,34 @@ def _check_certificate_zones(assign_g: CertificateAssignment):
             owner[s] = c
 
 
-def select_anchor_pair(g_members, assign_g: CertificateAssignment, n: int) -> tuple:
+def select_anchor_pair(assign_g: CertificateAssignment) -> tuple:
     """The pair (i, j) minimizing (complement-shadow load, (d-1)-stratum load,
-    canonical pair order), loads summed over the two elements."""
+    canonical pair order), loads summed over the two elements.
+
+    The complement-shadow load of e counts the d-sets through e outside G's
+    shadow: C(n-1, d-1) minus the shadow sets through e.
+    """
+    n, d = assign_g.family.n, assign_g.d
     if n < 2:
         raise UsageError(f"anchor selection needs n >= 2, got {n}")
-    d = assign_g.d
-    g_shadow = set()
-    for m in g_members:
-        rest = m
-        while rest:
-            low = rest & -rest
-            g_shadow.add(m ^ low)
-            rest ^= low
-    cs_count = [0] * (n + 1)
-    for dset in k_subset_masks(n, d):
-        if dset not in g_shadow:
-            rest = dset
-            while rest:
-                low = rest & -rest
-                cs_count[low.bit_length()] += 1
-                rest ^= low
-    gd1_count = [0] * (n + 1)
-    for m in assign_g.strata.get(d - 1, ()):
-        rest = m
-        while rest:
-            low = rest & -rest
-            gd1_count[low.bit_length()] += 1
-            rest ^= low
-    best = None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            key = (cs_count[i] + cs_count[j], gd1_count[i] + gd1_count[j], (i, j))
-            if best is None or key < best:
-                best = key
-    return best[2]
+    in_shadow = _element_counts(assign_g.family.shadow_count, n)
+    cs_count = [comb(n - 1, d - 1) - c for c in in_shadow]
+    gd1_count = _element_counts(assign_g.strata.get(d - 1, ()), n)
+    pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return min(
+        (cs_count[i] + cs_count[j], gd1_count[i] + gd1_count[j], (i, j)) for i, j in pairs
+    )[2]
+
+
+def _element_counts(masks, n: int) -> list[int]:
+    """count[e] = how many of the masks contain element e, for e in 1..n."""
+    count = [0] * (n + 1)
+    for m in masks:
+        while m:
+            low = m & -m
+            count[low.bit_length()] += 1
+            m ^= low
+    return count
 
 
 def partition_family(
@@ -268,7 +255,7 @@ def partition_family(
         raise UsageError("the given assignment belongs to a different family or d")
     pc = build_pair_collection(assign)
     g_members, assign_g = build_g_and_reassign(assign, pc)
-    i, j = select_anchor_pair(g_members, assign_g, fam.n)
+    i, j = select_anchor_pair(assign_g)
     ij = (1 << (i - 1)) | (1 << (j - 1))
     v_mask = ((1 << fam.n) - 1) & ~ij
     cg = assign_g.assigned
@@ -314,15 +301,9 @@ def partition_family(
     ):
         raise InvariantViolation("partition is not exact")
 
-    f3_shadow = set()
-    for m in f3:
-        rest = m
-        while rest:
-            low = rest & -rest
-            f3_shadow.add(m ^ low)
-            rest ^= low
+    # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow
     index_sets = list(_v_subsets(v_mask, d - 1))
-    index_sets += [s for s in _v_subsets(v_mask, d) if s in f3_shadow]
+    index_sets += {s for m in f3 for s in shadow_masks(m) if not s & ij}
     index_sets.sort()
     index_of = {s: pos for pos, s in enumerate(index_sets)}
 
@@ -408,15 +389,15 @@ def build_f(report: PartitionReport) -> PartitionReport:
         if kind == TRIANGLE:
             x, y, z = elems
             images = {
-                t | _bits(x, y): t | _bits(x),
-                t | _bits(y, z): t | _bits(y),
-                t | _bits(x, z): t | _bits(z),
+                t | mask_of((x, y)): t | bit(x),
+                t | mask_of((y, z)): t | bit(y),
+                t | mask_of((x, z)): t | bit(z),
             }
             for m in fiber:
                 fmap[m] = ((index(images[m], "triangle fiber"), 2),)
         elif kind == CHERRY:
             a, b, c = elems
-            images = {t | _bits(a, b): t | _bits(b), t | _bits(a, c): t | _bits(c)}
+            images = {t | mask_of((a, b)): t | bit(b), t | mask_of((a, c)): t | bit(c)}
             for m in fiber:
                 fmap[m] = ((index(images[m], "cherry fiber"), 2),)
         else:
@@ -425,13 +406,6 @@ def build_f(report: PartitionReport) -> PartitionReport:
             )
     report.fmap = fmap
     return report
-
-
-def _bits(*elements: int) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << (e - 1)
-    return out
 
 
 def _singleton_image(report, t: int, member: int, elems, hits, index):
@@ -457,7 +431,7 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
         b = y if a == x else x
         return (
             (index(t, "singleton fiber, one sharer"), 1),
-            (index(t | _bits(b), "singleton fiber, one sharer"), 1),
+            (index(t | bit(b), "singleton fiber, one sharer"), 1),
         )
     h1, h2 = sorted(hits)
     inter = h1 & h2
@@ -472,8 +446,8 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
                 f"anchor-side elements {{{a1},{a2}}} differ from the fiber pair ({x},{y})"
             )
         return (
-            (index(t | _bits(x), "singleton fiber, split sharers"), 1),
-            (index(t | _bits(y), "singleton fiber, split sharers"), 1),
+            (index(t | bit(x), "singleton fiber, split sharers"), 1),
+            (index(t | bit(y), "singleton fiber, split sharers"), 1),
         )
     if popcount(extra) != 1 or extra & ~v:
         raise InvariantViolation("anchor-side sharers overlap beyond T in more than one V element")
@@ -483,7 +457,7 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
             f"shared anchor-side element {a} is not one of the fiber pair ({x},{y})"
         )
     b = y if a == x else x
-    return ((index(t | _bits(b), "singleton fiber, aligned sharers"), 2),)
+    return ((index(t | bit(b), "singleton fiber, aligned sharers"), 2),)
 
 
 def verify_column_sums(report: PartitionReport) -> PartitionReport:
@@ -560,26 +534,13 @@ def audit_bound(report: PartitionReport) -> PartitionReport:
     n, d = fam.n, report.d
     v = report.v_mask
 
-    g_shadow = set()
-    for m in report.g_members:
-        rest = m
-        while rest:
-            low = rest & -rest
-            g_shadow.add(m ^ low)
-            rest ^= low
-    f_shadow = set()
-    for m in fam.masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            f_shadow.add(m ^ low)
-            rest ^= low
-    f3_in_v_shadow = {s for s in report.index_sets if popcount(s) == d}
+    g_shadow = report.assign_g.family.shadow_count  # built by select_anchor_pair
+    f3_in_v_shadow = sum(1 for s in report.index_sets if popcount(s) == d)
 
     comp_shadow_g = comb(n, d) - len(g_shadow)
-    comp_shadow_f = comb(n, d) - len(f_shadow)
-    comp_shadow_f3_v = comb(n - 2, d) - len(f3_in_v_shadow)
-    comp_shadow_g_v = sum(1 for s in _v_subsets(v, d) if s not in g_shadow)
+    comp_shadow_f = comb(n, d) - len(fam.shadow_count)
+    comp_shadow_f3_v = comb(n - 2, d) - f3_in_v_shadow
+    comp_shadow_g_v = comb(n - 2, d) - sum(1 for s in g_shadow if s & ~v == 0)
 
     audit = BoundAudit(
         f_size=len(fam),

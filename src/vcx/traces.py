@@ -50,14 +50,23 @@ def indices_by_size(k: int) -> list[list[int]]:
     return groups
 
 
+def largest_unrealized(occ: int, layers) -> tuple[int, int] | None:
+    """(size, compressed index) of the largest unrealized proper trace, the
+    canonically least of its size; layers[s] = size_layer_mask(k, s) for s < k.
+    None when every proper trace is realized."""
+    for size in range(len(layers) - 1, -1, -1):
+        free = layers[size] & ~occ
+        if free:
+            return size, (free & -free).bit_length() - 1
+    return None
+
+
 def positions_of(mask: int) -> tuple[int, ...]:
     out = []
-    p = 0
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -78,34 +87,35 @@ def compress_trace(trace_mask: int, positions) -> int:
     return c
 
 
-def occupancy_words(masks, k: int) -> list[int]:
-    """Realized-trace occupancy word for every member, self-trace included."""
-    m = len(masks)
-    if m == 0:
+def occupancy_words(masks, k: int, positions=None) -> list[int]:
+    """Realized-trace occupancy word for every member, self-trace included.
+
+    positions, when given, holds positions_of(mask) for every mask, in order.
+    """
+    if len(masks) == 0:
         return []
     if k <= _NUMPY_MAX_K:
-        return _occupancy_numpy(masks, k)
-    return _occupancy_python(masks, k)
+        return _occupancy_numpy(masks, k, positions)
+    return _occupancy_python(masks, k, positions)
 
 
-def _occupancy_numpy(masks, k: int) -> list[int]:
+def _occupancy_numpy(masks, k: int, positions=None) -> list[int]:
     arr = np.asarray(masks, dtype=np.int64)
-    m = arr.shape[0]
-    pos = np.empty((m, k), dtype=np.int64)
-    for i, mask in enumerate(masks):
-        pos[i] = positions_of(mask)
-    inter = arr[:, None] & arr[None, :]
-    comp = np.zeros((m, m), dtype=np.int64)
+    pos = np.array(positions or [positions_of(m) for m in masks], dtype=np.intp)
+    pos = pos.reshape(len(masks), k)
+    # has[p, j]: member j holds bit p. The trace of member j on member i
+    # compresses to the bits has[pos[i, t], j], t < k.
+    has = ((arr >> np.arange(max(masks).bit_length())[:, None]) & 1).astype(np.uint8)
+    comp = np.zeros((len(masks), len(masks)), dtype=np.uint8)
     for t in range(k):
-        comp |= ((inter >> pos[:, t : t + 1]) & 1) << t
-    occ = np.bitwise_or.reduce(np.int64(1) << comp, axis=1)
+        comp |= has[pos[:, t]] << t
+    occ = np.bitwise_or.reduce(np.left_shift(1, comp, dtype=np.int64), axis=1)
     return [int(x) for x in occ]
 
 
-def _occupancy_python(masks, k: int) -> list[int]:
+def _occupancy_python(masks, k: int, positions=None) -> list[int]:
     out = []
-    for mask in masks:
-        pos = positions_of(mask)
+    for mask, pos in zip(masks, positions or map(positions_of, masks)):
         occ = 0
         for other in masks:
             occ |= 1 << compress_trace(other & mask, pos)

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import mask_from, oracle_certificates
 from vcx.bitwords import k_subset_masks, popcount
@@ -152,6 +156,28 @@ def test_assignment_validate_catches_non_canonical_choice():
             swapped += 1
             break
     assert swapped
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_build_assignment_agrees_with_oracle_certificates(data):
+    """Each member gets its largest, canonically least oracle certificate, and
+    validate accepts the result; a member without certificates is refused."""
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(d + 1, 8), label="n")
+    pool = list(combinations(range(1, n + 1), d + 1))
+    lists = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=30), label="members")
+    fam = UniformFamily.from_element_lists(n, d + 1, lists)
+    found = {F.bits: oracle_certificates(F.elements(), lists) for F in fam.members}
+    if not all(found.values()):
+        with pytest.raises(MemberShattered):
+            build_assignment(fam, d)
+        return
+    assign = build_assignment(fam, d)
+    for m, certs in found.items():
+        top = max(len(t) for t in certs)
+        assert assign.assigned[m] == min(mask_from(t) for t in certs if len(t) == top)
+    assign.validate(check_tie_break=True)
 
 
 def test_fiber_bound_values():

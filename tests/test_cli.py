@@ -210,3 +210,32 @@ def test_version_and_help():
     assert proc.returncode == 0
     for sub in ("gen", "vc", "shadow", "certify", "sunflower", "pipeline", "search", "fuzz"):
         assert sub in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "content, word",
+    [
+        ("not json {", "JSONDecodeError"),
+        ('{"n": 6}', "'d'"),
+        ('{"n": 6, "d": 2.5, "seed": 1}', "integers"),
+    ],
+    ids=["not-json", "missing-key", "wrong-type"],
+)
+def test_malformed_replay_manifest_is_a_usage_error(tmp_path, content, word):
+    manifest = tmp_path / "fail.json"
+    manifest.write_text(content)
+    assert_usage_error(run_cli("fuzz", "--replay", str(manifest)), "malformed replay manifest", word)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"], ids=["negative", "nan"])
+def test_search_timeout_is_checked_at_parse_time(value):
+    assert_usage_error(run_cli("search", "--n", "6", "--d", "2", "--timeout", value), "--timeout")
+
+
+@pytest.mark.parametrize("kind", ["random", "complete"])
+def test_gen_cost_guard_refuses_huge_instance(tmp_path, kind):
+    # C(63,31) candidates: refused before any enumeration starts
+    out = tmp_path / "huge.fam"
+    proc = run_cli("gen", "--kind", kind, "--n", "63", "--d", "30", "--out", str(out))
+    assert_usage_error(proc, "candidates")
+    assert not out.exists()

@@ -256,3 +256,37 @@ def test_coefficient_masses_and_ownership_seeded():
 def test_audit_pascal_identity():
     for n, d in [(8, 2), (10, 2), (9, 3), (14, 3)]:
         assert comb(n - 2, d - 1) + comb(n - 2, d) == comb(n - 1, d)
+
+
+# (n, d, seed) -> check_family outputs: size, strata, max fiber, shapes, classes,
+# max column, audit slack; then run_pipeline's anchors, |comp-shadow(G)|,
+# |comp-shadow(G) within V|, |comp-shadow(F)| and index family size. Recorded
+# before the checker computed shadows and member positions once per check.
+WIDE_PINNED = {
+    (20, 2, 0): ((109, {2: 109}, 1, {}, {H0STAR: 10, H11: 22, KD: 76}, 2, 63),
+                 ((1, 2), 0, 0, 0, 171)),
+    (20, 2, 1): ((109, {2: 109}, 1, {}, {H0STAR: 6, H11: 22, KD: 80}, 2, 62),
+                 ((1, 2), 1, 1, 1, 170)),
+    (28, 2, 0): ((213, {2: 213}, 1, {}, {H0STAR: 12, H11: 30, KD: 170}, 2, 139),
+                 ((1, 2), 0, 0, 0, 351)),
+    (28, 2, 1): ((215, {2: 215}, 1, {}, {H0STAR: 21, H11: 30, KD: 163}, 2, 137),
+                 ((1, 2), 0, 0, 0, 351)),
+    (16, 3, 0): ((269, {2: 1, 3: 268}, 1, {"SINGLETON": 1},
+                  {H0STAR: 29, H11: 81, H12: 6, KD: 144, KD1: 1}, 2, 193),
+                 ((1, 2), 1, 1, 1, 454)),
+    (16, 3, 1): ((263, {2: 3, 3: 260}, 1, {"SINGLETON": 3},
+                  {H0STAR: 16, H11: 81, H12: 7, KD: 149, KD1: 3}, 2, 189),
+                 ((5, 6), 10, 10, 10, 445)),
+}
+
+
+@pytest.mark.parametrize("n, d, seed", sorted(WIDE_PINNED))
+def test_check_family_wide_outputs_are_pinned(n, d, seed):
+    fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
+    c = check_family(fam, d, seed)
+    got = (c.size, c.strata, c.max_fiber, c.shapes, c.classes, c.max_column, c.audit_slack)
+    report = run_pipeline(fam, d)
+    audit = report.audit
+    got_audit = (report.anchors, audit.comp_shadow_g, audit.comp_shadow_g_v,
+                 audit.reported["comp_shadow_f"], audit.index_size)
+    assert (got, got_audit) == WIDE_PINNED[(n, d, seed)]
