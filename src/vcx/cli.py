@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .bitwords import popcount
+from .bitwords import elements_of, popcount
 from .certificates import (
     build_assignment,
     classify_fiber,
@@ -104,19 +104,8 @@ def build_manifest(args, payload, t0, input_bytes=None, seed=None) -> RunManifes
     )
 
 
-def _elems(mask: int) -> list:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _member_key(mask: int) -> str:
-    return " ".join(str(e) for e in _elems(mask))
+    return " ".join(str(e) for e in elements_of(mask))
 
 
 def _encode(value):
@@ -309,7 +298,7 @@ def cmd_shadow(args) -> int:
         below = (w.bits for w in shadow(level).members)
         level = UniformFamily.from_masks(fam.n, level.k - 1, below)
     sh = complement_shadow(level) if args.complement else shadow(level)
-    members = [_elems(w.bits) for w in sh.members]
+    members = [elements_of(w.bits) for w in sh.members]
     payload = {
         "n": fam.n,
         "r": args.r,
@@ -337,10 +326,10 @@ def cmd_certify(args) -> int:
         shape = classify_fiber(SubsetWord(t, fam.n), assign)
         shapes.append(
             {
-                "certificate": _elems(t),
+                "certificate": elements_of(t),
                 "kind": shape.kind,
                 "elements": list(shape.elements),
-                "fiber": [_elems(w.bits) for w in shape.fiber],
+                "fiber": [elements_of(w.bits) for w in shape.fiber],
                 "side_u": list(shape.side_u),
                 "side_v": list(shape.side_v),
                 "leaf_pair": shape.leaf_pair,
@@ -350,7 +339,7 @@ def cmd_certify(args) -> int:
         "n": fam.n,
         "d": args.d,
         "size": len(fam),
-        "certificates": {_member_key(m): _elems(c) for m, c in assign.assigned.items()},
+        "certificates": {_member_key(m): elements_of(c) for m, c in assign.assigned.items()},
         "strata": {str(s): len(v) for s, v in assign.strata.items()},
         "fiber_histogram": {str(s): c for s, c in hist.items()},
         "max_fiber": biggest,
@@ -382,8 +371,8 @@ def cmd_sunflower(args) -> int:
         "p": args.p,
         "threshold": sunflower_threshold(fam.k, args.p),
         "found": flower is not None,
-        "core": _elems(flower.core.bits) if flower else None,
-        "petals": [_elems(w.bits) for w in flower.petals] if flower else None,
+        "core": elements_of(flower.core.bits) if flower else None,
+        "petals": [elements_of(w.bits) for w in flower.petals] if flower else None,
     }
     manifest = build_manifest(args, payload, t0, input_bytes=raw)
     if flower is None:
@@ -421,7 +410,7 @@ def _audit_payload(report) -> dict:
         "anchors": list(report.anchors),
         "sizes": sizes,
         "classes": {_member_key(m): label for m, label in report.classes.items()},
-        "index_family": [_elems(s) for s in report.index_sets],
+        "index_family": [elements_of(s) for s in report.index_sets],
         "f": {
             _member_key(m): [[idx, units] for idx, units in image]
             for m, image in report.fmap.items()
@@ -476,7 +465,7 @@ def cmd_search(args) -> int:
         "target": result.target,
         "best": result.best,
         "optimal": result.optimal,
-        "witness": [_elems(m) for m in result.witness],
+        "witness": [elements_of(m) for m in result.witness],
         "nodes": result.nodes,
         "nodes_exact": result.nodes_exact,
         "wall_time_ms": result.wall_time_ms,

@@ -16,6 +16,10 @@ from .errors import UsageError
 
 MAX_GROUND_SET = 63
 MAX_SHATTER_CHECK = 25
+# vc_dimension refuses a level whose scan would intersect more (s-subset,
+# member) pairs than this; the largest scan the tests, demos and benchmark do
+# is far below it
+MAX_VC_SCAN = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -188,12 +192,18 @@ def vc_dimension(fam: UniformFamily) -> int:
 
     Shattered sets are downward closed, so the scan over sizes stops at the
     first size with no witness. A shattered set of a k-uniform family has at
-    most k elements (it needs a full trace), capping the scan.
+    most k elements (it needs a full trace) and an s-set needs 2^s members,
+    capping the scan.
     """
     if len(fam) == 0:
         return -1
-    cap = min(fam.k, fam.n)
+    cap = min(fam.k, fam.n, len(fam).bit_length() - 1)
     for s in range(1, cap + 1):
+        if comb(fam.n, s) * len(fam) > MAX_VC_SCAN:
+            raise UsageError(
+                f"vc_dimension would test C({fam.n},{s}) sets against {len(fam)} members; "
+                f"the limit is {MAX_VC_SCAN} pairs"
+            )
         if shattered_witness(fam, s) is None:
             return s - 1
     return cap

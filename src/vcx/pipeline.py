@@ -137,12 +137,12 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     """
     fam = assign.family
     d = assign.d
-    keep = [
-        m
-        for m in fam.masks
-        if popcount(assign.assigned[m]) >= d - 1 and m not in pc.paired
-    ]
-    sub = UniformFamily.from_masks(fam.n, fam.k, keep)
+    keep = tuple(
+        w
+        for w in fam.members
+        if popcount(assign.assigned[w.bits]) >= d - 1 and w.bits not in pc.paired
+    )
+    sub = UniformFamily(fam.n, fam.k, keep)
     positions = assign.member_positions()
     occs = occupancy_words(sub.masks, sub.k, [positions[m] for m in sub.masks])
     layers = [size_layer_mask(sub.k, s) for s in range(sub.k)]

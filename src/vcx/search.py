@@ -7,14 +7,27 @@ member is forced to be the canonical least candidate: any nonempty family is
 isomorphic to one containing it, and the reported value is
 isomorphism-invariant.
 
-Forward checking: each node branches over a live list, the later candidates
-that can join the family right now, each with its occupancy word against the
-current family. Adding members only adds traces, so a candidate that would kill
-someone at a node does so in every descendant and is dropped for good. The
-bound is therefore size + len(live), capped at C(n,d). Dropping dead
-candidates and pruning on that bound cut only subtrees that cannot beat the
-incumbent, so results and witnesses match a plain index walk; only node counts
-shrink.
+Forward checking: each node branches over the live candidates, the later ones
+that can join the family right now. Adding members only adds traces, so a
+candidate that would kill someone at a node does so in every descendant and is
+dropped for good. The bound is therefore size + |live|, capped at C(n,d).
+Dropping dead candidates and pruning on that bound cut only subtrees that
+cannot beat the incumbent, so results and witnesses match a plain index walk;
+only node counts shrink.
+
+Packed state: with k = d+1, candidate j owns slot j, bits [j*2^k, (j+1)*2^k),
+of one int `occ` that holds its occupancy word against the current members
+(self-trace included), for members and non-members alike. Live candidates,
+members and critical members (one required trace left) are ints with only
+slot-low bits (bit j*2^k) set. Two rows per candidate, built once per (n, d):
+onto[i] has in slot h the bit of trace cands[i] & cands[h] compressed on h, so
+including i is occ | onto[i]; seen[i] has in slot h the bit of the same trace
+compressed on i, so (seen[i] >> t) picks out at the slot-low bits the
+candidates whose trace on i is t, the ones that kill i once t is its last
+required trace. A slot's top bit is the full trace, which is never required,
+so "is this slot of the unrealized required traces nonzero" is one addition
+for all slots at once: adding 2^(2^k - 1) - 1 to each slot carries into its
+top bit exactly when the rest of the slot is nonzero.
 
 Three modes share the engine and differ only in the required trace layer:
   exact    every member needs some proper subset unrealized (VC <= d)
@@ -23,11 +36,12 @@ Three modes share the engine and differ only in the required trace layer:
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
-from .bitwords import k_subset_masks
+from .bitwords import k_subset_masks, submasks
 from .constructions import star_family
 from .errors import InvariantViolation, UsageError
 from .families import UniformFamily, vc_dimension
@@ -46,11 +60,11 @@ MODE_ORDER = "order"
 
 _TIME_CHECK_STRIDE = 4096
 
-# Cost guard, checked before any enumeration. The engine lists all C(n,d+1)
-# candidates with two 2^(d+1)-entry trace tables each, and its DFS recurses
-# once per candidate decision, so the candidate count must stay below Python's
-# default recursion limit (1000). The largest instance the tests, demos and
-# benchmark run, (8,2), has 56 candidates and 448 trace entries.
+# Cost guard, checked before any enumeration. The engine keeps two rows of
+# C(n,d+1) * 2^(d+1) bits per candidate, at most 8 MiB at both limits, and its
+# DFS recurses once per included member, so the candidate count must stay below
+# Python's default recursion limit (1000). The largest instance the tests,
+# demos and benchmark run, (8,2), has 56 candidates and 448 trace entries.
 MAX_CANDIDATES = 500
 MAX_TRACE_ENTRIES = 1 << 16
 
@@ -81,30 +95,40 @@ class _Budget(Exception):
     pass
 
 
+@lru_cache(maxsize=4)
+def _tables(n: int, d: int):
+    """(cands, onto, seen) for the packed engine; see the module docstring."""
+    k = d + 1
+    cands = tuple(k_subset_masks(n, k))
+    # index_on[h][t]: compressed index of trace t on cands[h]
+    index_on = [{t: compress_trace(t, positions_of(c)) for t in submasks(c)} for c in cands]
+    nbytes = ((len(cands) << k) + 7) >> 3
+    onto, seen = [], []
+    for ci, on_i in zip(cands, index_on):
+        o, s = bytearray(nbytes), bytearray(nbytes)
+        for h, (ch, on_h) in enumerate(zip(cands, index_on)):
+            t = ci & ch
+            p = (h << k) + on_h[t]
+            o[p >> 3] |= 1 << (p & 7)
+            p = (h << k) + on_i[t]
+            s[p >> 3] |= 1 << (p & 7)
+        onto.append(int.from_bytes(o, "little"))
+        seen.append(int.from_bytes(s, "little"))
+    return cands, onto, seen
+
+
 class _Engine:
     """One sequential branch-and-bound run. Subtree tasks re-enter via resume()."""
 
     def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None):
-        self.n = n
-        self.d = d
-        self.k = d + 1
-        self.cands = list(k_subset_masks(n, d + 1))
-        self.req = required_mask
-        self.full_bit = full_trace_bit(self.k)
-        # lut[i][t] = occupancy bit contributed by trace t on candidate i;
-        # trace_of[i] inverts it
-        self.luts = []
-        for c in self.cands:
-            pos = positions_of(c)
-            lut = {}
-            sub = 0
-            while True:
-                lut[sub] = 1 << compress_trace(sub, pos)
-                if sub == c:
-                    break
-                sub = (sub - c) & c
-            self.luts.append(lut)
-        self.trace_of = [{bit: sub for sub, bit in lut.items()} for lut in self.luts]
+        self.k = k = d + 1
+        self.cands, self.onto, self.seen = _tables(n, d)
+        self.slot = (1 << (1 << k)) - 1
+        self.low = ((1 << (len(self.cands) << k)) - 1) // self.slot
+        self.req = required_mask * self.low
+        self.full = full_trace_bit(k) * self.low
+        self.top = (1 << k) - 1  # the full trace's bit in a slot
+        self.half = (self.slot >> 1) * self.low
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.fp_cap = comb(n, d)
@@ -121,7 +145,7 @@ class _Engine:
             self.stopped = True
             self.exhausted = False
             return
-        if self.full_bit & self.req == self.req:
+        if self.req & ~self.full == 0:
             raise InvariantViolation("a single member family cannot be infeasible")
         self.resume(1, [0], seed_best, stop_at, seed_witness)
 
@@ -131,126 +155,105 @@ class _Engine:
         self.best = seed_best
         self.witness = tuple(seed_witness)
         self.stop_at = stop_at
-        members = list(member_indices)
-        occs = [self._word(mi, members) for mi in members]
         try:
-            self._dfs(members, occs, self._live(start_index, members, occs))
+            self._dfs(*self.state(start_index, member_indices), len(member_indices))
         except _Budget:
             self.exhausted = False
         if self.stopped:
             self.exhausted = False
 
-    def _word(self, j, members):
-        """Occupancy word of candidate j against the members, self-trace included."""
-        H = self.cands[j]
-        lut = self.luts[j]
-        word = self.full_bit
-        for mi in members:
-            word |= lut[self.cands[mi] & H]
-        return word
+    def state(self, start, member_indices):
+        """(occ, members, critical, live) after fixing member_indices and
+        deciding every candidate below start."""
+        k = self.k
+        occ, members = self.full, 0
+        for m in member_indices:
+            occ |= self.onto[m]
+            members |= 1 << (m << k)
+        later = self.low >> (start << k) << (start << k)
+        return self._settle(occ, members, 0, later & ~members)
 
-    def _live(self, start, members, occs):
-        """(index, word) for every candidate from start on that can join the family now."""
-        req = self.req
-        live = []
-        for j in range(start, len(self.cands)):
-            word = self._word(j, members)
-            if word & req == req:
-                continue
-            H = self.cands[j]
-            if any(
-                (occ | self.luts[mi][H & self.cands[mi]]) & req == req
-                for mi, occ in zip(members, occs)
-            ):
-                continue
-            live.append((j, word))
-        return live
+    def _settle(self, occ, members, crit, live):
+        """The state for occ and members, with live cut to the candidates that
+        can still join, given the members that were critical before.
+
+        A candidate is dead when its slot holds every required trace. A member
+        with one required trace t left is critical, and every candidate whose
+        trace on it is t would kill it; criticals found before had their
+        killers dropped then, since traces only accumulate. Setting bit 0 of
+        the non-member slots makes every slot of x nonzero, so x - low borrows
+        inside each slot and x & (x - low) clears one bit per slot."""
+        miss = self.req & ~occ
+        live &= (miss + self.half) >> self.top
+        x = miss | (self.low ^ members)
+        now = members & ~((x & (x - self.low)) + self.half >> self.top)
+        new = now & ~crit
+        while new:
+            b = new & -new
+            p = b.bit_length() - 1
+            t = (miss >> p & self.slot).bit_length() - 1
+            live &= ~(self.seen[p >> self.k] >> t)
+            new ^= b
+        return occ, members, now, live
+
+    def _include_head(self, occ, members, crit, live):
+        """The child state that includes the lowest live candidate."""
+        head = live & -live
+        return self._settle(occ | self.onto[head.bit_length() - 1 >> self.k],
+                            members | head, crit, live ^ head)
+
+    def indices(self, members):
+        """Candidate indices of the slot-low bits of members, ascending."""
+        out = []
+        while members:
+            b = members & -members
+            out.append(b.bit_length() - 1 >> self.k)
+            members ^= b
+        return out
 
     def collect_frontier(self, depth: int):
         """All feasible (start, members) states with decisions fixed for the
         first `depth` candidates, in DFS discovery order. Root stays forced."""
         frontier = []
+        before = (1 << (depth << self.k)) - 1
 
-        def walk(members, occs, live):
-            if not live or live[0][0] >= depth:
-                frontier.append((depth, tuple(members)))
+        def walk(occ, members, crit, live):
+            if not live & before:
+                frontier.append((depth, tuple(self.indices(members))))
                 return
-            new_occs, tail = self._include(members, occs, live)
-            walk(members + [live[0][0]], new_occs, tail)
-            walk(members, occs, live[1:])
+            walk(*self._include_head(occ, members, crit, live))
+            walk(occ, members, crit, live & (live - 1))
 
-        walk([0], [self.full_bit], self._live(1, [0], [self.full_bit]))
+        walk(*self.state(1, [0]))
         return frontier
 
-    def _include(self, members, occs, live):
-        """The members' words after adding the live head, and the rest of the
-        live list filtered to the candidates that can still join.
-
-        The head is live, so it kills no one. A member whose required traces
-        are now all realized but one is critical: any later candidate whose
-        trace on it is that last one would kill it. Members critical before
-        this step had their killers dropped when they became critical, since
-        traces only accumulate."""
-        i, word = live[0]
-        G = self.cands[i]
-        req = self.req
-        cands, luts, trace_of = self.cands, self.luts, self.trace_of
-        new_occs = []
-        last = []  # (member mask, its last unrealized required trace) for new criticals
-        for mi, occ in zip(members, occs):
-            F = cands[mi]
-            occ2 = occ | luts[mi][G & F]
-            new_occs.append(occ2)
-            rem = req & ~occ2
-            if rem & (rem - 1) == 0 and rem != req & ~occ:
-                last.append((F, trace_of[mi][rem]))
-        new_occs.append(word)
-        rem = req & ~word
-        if rem & (rem - 1) == 0:
-            last.append((G, trace_of[i][rem]))
-        tail = []
-        for j, w in live[1:]:
-            H = cands[j]
-            w |= luts[j][G & H]
-            if w & req == req:
-                continue
-            for F, T in last:
-                if H & F == T:
-                    break
-            else:
-                tail.append((j, w))
-        return new_occs, tail
-
-    def _dfs(self, members, occs, live):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _Budget
-        if self.deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
-            if time.monotonic() > self.deadline:
+    def _dfs(self, occ, members, crit, live, size):
+        while True:
+            self.nodes += 1
+            if self.max_nodes is not None and self.nodes > self.max_nodes:
                 raise _Budget
-        if self.stopped:
-            return
-        size = len(members)
-        bound = size + len(live)
-        if bound > self.fp_cap:
-            bound = self.fp_cap
-        if bound <= self.best:
-            return
-        if not live:
-            self._record(size, members)
-            return
-        new_occs, tail = self._include(members, occs, live)
-        members.append(live[0][0])
-        self._dfs(members, new_occs, tail)
-        members.pop()
-        if self.stopped:
-            return
-        self._dfs(members, occs, live[1:])
+            if self.deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
+                if time.monotonic() > self.deadline:
+                    raise _Budget
+            if self.stopped:
+                return
+            bound = size + live.bit_count()
+            if bound > self.fp_cap:
+                bound = self.fp_cap
+            if bound <= self.best:
+                return
+            if not live:
+                self._record(size, members)
+                return
+            self._dfs(*self._include_head(occ, members, crit, live), size + 1)
+            if self.stopped:
+                return
+            live &= live - 1  # the exclude branch drops the head
 
     def _record(self, size, members):
         if size > self.best:
             self.best = size
-            self.witness = tuple(self.cands[i] for i in members)
+            self.witness = tuple(self.cands[i] for i in self.indices(members))
             if self.stop_at is not None and self.best >= self.stop_at:
                 self.stopped = True
 
@@ -341,33 +344,55 @@ def _subtree_worker(payload):
 
 
 def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, deadline, threads):
-    eng = _Engine(n, d, req)
-    frontier = eng.collect_frontier(_SPLIT_DEPTH)
-    best, witness = seed_best, tuple(seed_witness)
-    if stop_at is not None and best >= stop_at:
-        return best, witness, 0, False, True
+    """Run the frontier subtrees on a pool, at most 2*threads in flight.
+
+    Tasks go out in frontier order, each seeded with the best size finished
+    tasks have reported, so every task it learns from lies before it. The
+    first task in frontier order with a family of the final best size (in
+    witness mode: of size stop_at or more) is therefore seeded below that
+    size and finds the family the serial run finds; earlier tasks report
+    less and later ones cannot displace it. After a task reaches stop_at,
+    nothing more is dispatched and later tasks are not counted."""
+    if stop_at is not None and seed_best >= stop_at:
+        return seed_best, tuple(seed_witness), 0, False, True
+    frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH)  # fills _tables pre-fork
     per_task_nodes = None if max_nodes is None else max(1, max_nodes // max(1, len(frontier)))
-    remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-    payloads = [
-        (n, d, req, i, members, best, stop_at, per_task_nodes, remaining)
-        for (i, members) in frontier
-    ]
-    nodes = 0
-    exhausted = True
+    results = [None] * len(frontier)
+    reached = len(frontier)  # first frontier position whose task reached stop_at
+    top = seed_best  # the best size the finished tasks have reported
+    pending = {}
+
+    def collect():
+        nonlocal top, reached
+        for fut in wait(pending, return_when=FIRST_COMPLETED).done:
+            pos = pending.pop(fut)
+            results[pos] = fut.result()
+            top = max(top, results[pos][0])
+            if stop_at is not None and results[pos][0] >= stop_at:
+                reached = min(reached, pos)
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_subtree_worker, p) for p in payloads]
-        for fut in futures:
-            if stop_at is not None and best >= stop_at:
-                fut.cancel()
-                exhausted = False
-                continue
-            task_best, task_witness, task_nodes, task_exhausted = fut.result()
-            nodes += task_nodes
-            exhausted = exhausted and task_exhausted
-            if task_best > best and task_witness:
-                best, witness = task_best, tuple(task_witness)
-    if stop_at is not None and best >= stop_at:
-        exhausted = False
+        for pos, (start, members) in enumerate(frontier):
+            if len(pending) == 2 * threads:
+                collect()
+            if reached < len(frontier):
+                break
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            payload = (n, d, req, start, members, top, stop_at, per_task_nodes, remaining)
+            pending[pool.submit(_subtree_worker, payload)] = pos
+        while any(pos < reached for pos in pending.values()):
+            collect()
+        for fut in pending:  # past the witness: drop queued tasks, reap running ones
+            if not fut.cancel():
+                fut.result()
+    best, witness = seed_best, tuple(seed_witness)
+    nodes = 0
+    exhausted = reached == len(frontier)
+    for task_best, task_witness, task_nodes, task_exhausted in results[: reached + 1]:
+        nodes += task_nodes
+        exhausted = exhausted and task_exhausted
+        if task_best > best and task_witness:
+            best, witness = task_best, tuple(task_witness)
     return best, witness, nodes, exhausted, False
 
 

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from oracles import oracle_vc
+from vcx import families
 from vcx.constructions import SplitMix64, star_family
 from vcx.bitwords import k_subset_masks
 from vcx.errors import UsageError
@@ -192,3 +193,33 @@ def test_format_parse_round_trip_seeded():
         back = parse_family(format_family(fam))
         assert back.n == fam.n and back.k == fam.k
         assert back.masks == fam.masks, f"seed {seed}"
+
+
+def _spy_on_scans(monkeypatch):
+    scanned = []
+    real = families.shattered_witness
+    monkeypatch.setattr(families, "shattered_witness", lambda f, s: scanned.append(s) or real(f, s))
+    return scanned
+
+
+def test_vc_dimension_cost_guard_refuses_before_scanning(monkeypatch):
+    scanned = _spy_on_scans(monkeypatch)
+    # 3-sets through 1 over [63]: sizes 1 and 2 find a shattered set among
+    # their first candidates, size 3 would test C(63,3) sets on 1891 members
+    fam = star_family(63, 2)
+    assert comb(63, 3) * len(fam) > families.MAX_VC_SCAN
+    with pytest.raises(UsageError, match="limit"):
+        vc_dimension(fam)
+    assert scanned == [1, 2]
+    scanned.clear()
+    monkeypatch.setattr(families, "MAX_VC_SCAN", 62)
+    with pytest.raises(UsageError, match="limit"):
+        vc_dimension(star_family(63, 1))  # 62 members: C(63,1) * 62 pairs at size 1
+    assert scanned == []
+
+
+def test_vc_dimension_scan_stops_at_log2_of_family_size(monkeypatch):
+    scanned = _spy_on_scans(monkeypatch)
+    fam = fam_of(5, 3, [3, 4, 5], [1, 4, 5], [2, 4, 5], [1, 2, 5])  # shatters {1, 2}
+    assert vc_dimension(fam) == 2 == oracle_vc(5, [w.elements() for w in fam.members])
+    assert scanned == [1, 2]  # 4 members cannot shatter a 3-set

@@ -1,17 +1,21 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_max_family, oracle_vc_le
+from oracles import oracle_certificates, oracle_max_family, oracle_vc_le
 from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
     MAX_CANDIDATES,
+    _Engine,
     certificate_order_max,
     exact_max,
     lower_bound_witness,
     search_bracket,
 )
+from vcx.traces import proper_trace_mask, size_layer_mask
 
 
 def witness_family(result):
@@ -153,13 +157,61 @@ def test_search_results_are_pinned(call, best, optimal, witness):
 
 @pytest.mark.parametrize(
     "fn, args",
-    [(exact_max, (5, 1)), (certificate_order_max, (7, 2, 2)), (lower_bound_witness, (7, 2, 16))],
-    ids=["exact", "order", "witness"],
+    [
+        (exact_max, (5, 1)),
+        (certificate_order_max, (7, 2, 2)),
+        (lower_bound_witness, (7, 2, 16)),
+        (exact_max, (6, 2)),
+        (lower_bound_witness, (8, 2)),
+    ],
+    ids=["exact", "order", "witness", "exact_6_2", "witness_8_2"],
 )
 def test_serial_and_parallel_agree(fn, args):
     serial = fn(*args)
     parallel = fn(*args, threads=2)
     assert (parallel.best, parallel.optimal) == (serial.best, serial.optimal)
+    assert parallel.witness == serial.witness
+
+
+def _keeps_certificates(sets, s):
+    """Every member keeps an unrealized proper trace (of size s, when given)."""
+    return all(
+        any(s is None or len(T) == s for T in oracle_certificates(F, sets)) for F in sets
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_resume_live_set_matches_from_scratch_check(data):
+    """The live set a subtree task starts from, and the one after including
+    its head: every later candidate, not a member, that can join the members
+    without leaving anyone, itself included, without a certificate."""
+    n = data.draw(st.sampled_from([6, 7]), label="n")
+    s = data.draw(st.sampled_from([None, 0, 1, 2]), label="s")  # None: exact and witness
+    eng = _Engine(n, 2, proper_trace_mask(3) if s is None else size_layer_mask(3, s))
+    sets = [frozenset(e for e in range(1, n + 1) if m >> (e - 1) & 1) for m in eng.cands]
+    start = data.draw(st.integers(1, len(sets)), label="start")
+    limit = data.draw(st.integers(0, 12), label="limit")
+    members = []
+    for i in data.draw(st.permutations(range(start)), label="order"):
+        if len(members) < limit and _keeps_certificates([sets[j] for j in members + [i]], s):
+            members.append(i)
+    members.sort()
+
+    def expected(start, members):
+        fam = [sets[j] for j in members]
+        return [
+            j
+            for j in range(start, len(sets))
+            if j not in members and _keeps_certificates(fam + [sets[j]], s)
+        ]
+
+    state = eng.state(start, members)
+    live = eng.indices(state[-1])
+    assert live == expected(start, members)
+    if live:  # the include branch updates the state incrementally
+        child = eng._include_head(*state)
+        assert eng.indices(child[-1]) == expected(live[0] + 1, members + [live[0]])
 
 
 def test_witness_8_2_reaches_bracket_lower_end():
