@@ -6,8 +6,6 @@ sets). All functions here work on plain ints; the typed wrappers live in
 vcx.families.
 """
 
-from math import comb
-
 
 def bit(element: int) -> int:
     return 1 << (element - 1)
@@ -76,25 +74,3 @@ def k_subset_masks(n: int, k: int):
         ripple = v + low
         v = ripple | (((v ^ ripple) >> 2) // low)
 
-
-def unrank_k_subset(index: int, n: int, k: int) -> int:
-    """Mask of the k-subset of [n] at position `index` in canonical order.
-
-    Combinatorial number system: the largest element is chosen first.
-    """
-    if not 0 <= index < comb(n, k):
-        raise ValueError(f"index {index} out of range for C({n},{k})")
-    m = 0
-    remaining = index
-    kk = k
-    top = n
-    while kk > 0:
-        # largest c with C(c-1, kk) <= remaining, scanning down from top
-        c = top
-        while comb(c - 1, kk) > remaining:
-            c -= 1
-        remaining -= comb(c - 1, kk)
-        m |= 1 << (c - 1)
-        top = c - 1
-        kk -= 1
-    return m

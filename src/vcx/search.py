@@ -15,6 +15,32 @@ Dropping dead candidates and pruning on that bound cut only subtrees that
 cannot beat the incumbent, so results and witnesses match a plain index walk;
 only node counts shrink.
 
+Lex-leader cuts (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
+predicates for search problems", KR 1996) under the n-1 adjacent
+transpositions (i i+1) of [n]. A node decides a 0/1 vector x over the
+candidates in canonical order: members are 1, every other candidate that is not
+live is 0 (dead ones above the head included), live ones are undecided. For
+each transposition tau, walk the moved pairs (c, tau(c)), c < tau(c), in order
+of c; stop at the first pair with a live end, and at the first pair with
+x_c != x_tau(c) cut the node if x_c = 0: tau then maps every family below it to
+a lex-greater one. Include-first DFS meets families in decreasing lex order,
+so the witness is the lex-greatest family of the final best size (in witness
+mode, of size >= target); every family before it is smaller, so the bound
+never cuts its path. Its orbit under Sym([n]) holds only families of its size,
+so it is its orbit's lex-leader and no lex cut removes it either. Results and
+witnesses are those of the uncut search; only node counts shrink.
+
+The check needs only the members. Members lie below the head and live
+candidates at or above it, and tau keeps the order of the smaller ends and of
+their images, so from the first moved pair with a live end on, every image
+lies above the head and is no member. The rule's outcome is therefore fixed by
+the first pair whose ends differ in membership: the node is cut when its
+smaller end is not a member. Packed, each transposition is the slot-low mask of
+its smaller ends c plus its moved pairs grouped by index offset
+delta = tau(c) - c, as (delta * 2^k, slot mask) pairs (one to three groups on
+(7,2) and (8,2)), so the member bits of the images land at slot c with one
+shift and one AND per group.
+
 Packed state: with k = d+1, candidate j owns slot j, bits [j*2^k, (j+1)*2^k),
 of one int `occ` that holds its occupancy word against the current members
 (self-trace included), for members and non-members alike. Live candidates,
@@ -85,7 +111,12 @@ class SearchResult:
 
 
 def search_bracket(n: int, d: int) -> tuple | None:
-    """[C(n-1,d) + C(n-4,d-2), C(n,d) - 1], defined for d >= 2, n >= 2(d+1)."""
+    """[C(n-1,d) + C(n-4,d-2), C(n,d) - 1], defined for d >= 2, n >= 2(d+1).
+
+    The lower end is the Ahlswede-Khachatrian size, not the best known size at
+    small n: at (8,3) it is 39, while random_maximal_vc_family(FuzzSeed(4, 8,
+    3)) has 45 members and VC dimension 3.
+    """
     if d < 2 or n < 2 * (d + 1):
         return None
     return comb(n - 1, d) + comb(n - 4, d - 2), comb(n, d) - 1
@@ -97,7 +128,8 @@ class _Budget(Exception):
 
 @lru_cache(maxsize=4)
 def _tables(n: int, d: int):
-    """(cands, onto, seen) for the packed engine; see the module docstring."""
+    """(cands, onto, seen, swaps) for the packed engine; see the module
+    docstring."""
     k = d + 1
     cands = tuple(k_subset_masks(n, k))
     # index_on[h][t]: compressed index of trace t on cands[h]
@@ -114,7 +146,19 @@ def _tables(n: int, d: int):
             s[p >> 3] |= 1 << (p & 7)
         onto.append(int.from_bytes(o, "little"))
         seen.append(int.from_bytes(s, "little"))
-    return cands, onto, seen
+    index = {c: j for j, c in enumerate(cands)}
+    swaps = []
+    for e in range(n - 1):  # the transposition of elements e+1 and e+2
+        pair = 3 << e
+        ends, groups = 0, {}
+        for c, m in enumerate(cands):
+            if m & pair == 1 << e:  # c < tau(c) exactly when c holds e+1
+                shift = index[m ^ pair] - c << k
+                groups[shift] = groups.get(shift, 0) | 1 << (c << k)
+                ends |= 1 << (c << k)
+        if ends:
+            swaps.append((ends, tuple(groups.items())))
+    return cands, onto, seen, tuple(swaps)
 
 
 class _Engine:
@@ -122,7 +166,7 @@ class _Engine:
 
     def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None):
         self.k = k = d + 1
-        self.cands, self.onto, self.seen = _tables(n, d)
+        self.cands, self.onto, self.seen, self.swaps = _tables(n, d)
         self.slot = (1 << (1 << k)) - 1
         self.low = ((1 << (len(self.cands) << k)) - 1) // self.slot
         self.req = required_mask * self.low
@@ -202,6 +246,20 @@ class _Engine:
         return self._settle(occ | self.onto[head.bit_length() - 1 >> self.k],
                             members | head, crit, live ^ head)
 
+    def _dominated(self, members):
+        """Whether some transposition maps every family below this node to a
+        lex-greater one (see the module docstring). At slot c, the smaller end
+        of a moved pair, pm holds the member bit of tau(c), and the lowest bit
+        of e is the first pair whose ends differ in membership."""
+        for ends, groups in self.swaps:
+            pm = 0
+            for shift, mask in groups:
+                pm |= members >> shift & mask
+            e = (members ^ pm) & ends
+            if e & -e & pm:
+                return True
+        return False
+
     def indices(self, members):
         """Candidate indices of the slot-low bits of members, ascending."""
         out = []
@@ -218,6 +276,8 @@ class _Engine:
         before = (1 << (depth << self.k)) - 1
 
         def walk(occ, members, crit, live):
+            if self._dominated(members):
+                return
             if not live & before:
                 frontier.append((depth, tuple(self.indices(members))))
                 return
@@ -228,6 +288,7 @@ class _Engine:
         return frontier
 
     def _dfs(self, occ, members, crit, live, size):
+        fresh = True  # members, and so the lex cut, stay fixed along the exclude loop
         while True:
             self.nodes += 1
             if self.max_nodes is not None and self.nodes > self.max_nodes:
@@ -240,8 +301,9 @@ class _Engine:
             bound = size + live.bit_count()
             if bound > self.fp_cap:
                 bound = self.fp_cap
-            if bound <= self.best:
+            if bound <= self.best or fresh and self._dominated(members):
                 return
+            fresh = False
             if not live:
                 self._record(size, members)
                 return

@@ -68,3 +68,57 @@ def mask_from(elements):
     for e in elements:
         out |= 1 << (e - 1)
     return out
+
+
+def oracle_ilp_max(n, d, s=None):
+    """Max size of a family of (d+1)-sets over [n] with VC <= d or, given s,
+    in which every member keeps an unrealized trace of size exactly s.
+
+    An integer program solved by scipy's HiGHS, sharing nothing with the
+    search engine. x_F = 1 makes candidate F a member; y_{S,T} = 1 says T is
+    not a trace on S. Each member S needs one such T among its proper subsets
+    (of size s, given s): sum_T y_{S,T} >= x_S. Each member F realizes its
+    trace on every S: x_F + y_{S, F&S} <= 1. The first candidate is fixed in,
+    since any nonempty family is isomorphic to one containing it.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    cands = [frozenset(c) for c in combinations(range(1, n + 1), d + 1)]
+    required = {
+        S: [
+            frozenset(T)
+            for r in (range(d + 1) if s is None else [s])
+            for T in combinations(sorted(S), r)
+        ]
+        for S in cands
+    }
+    x = {F: i for i, F in enumerate(cands)}
+    y = {}
+    for S in cands:
+        for T in required[S]:
+            y[S, T] = len(x) + len(y)
+    rows = []  # (coefficient by variable, lower, upper)
+    for S in cands:
+        rows.append(({x[S]: -1} | {y[S, T]: 1 for T in required[S]}, 0, np.inf))
+    for F in cands:
+        for S in cands:
+            if (S, F & S) in y:
+                rows.append(({x[F]: 1, y[S, F & S]: 1}, -np.inf, 1))
+    matrix = np.zeros((len(rows), len(x) + len(y)))
+    for i, (coefficients, _, _) in enumerate(rows):
+        for j, a in coefficients.items():
+            matrix[i, j] = a
+    cost = np.zeros(len(x) + len(y))
+    cost[: len(x)] = -1
+    lower = np.zeros(len(cost))
+    lower[0] = 1
+    res = milp(
+        cost,
+        integrality=np.ones(len(cost)),
+        bounds=Bounds(lower, np.ones(len(cost))),
+        constraints=LinearConstraint(matrix, [r[1] for r in rows], [r[2] for r in rows]),
+    )
+    if not res.success:
+        raise RuntimeError(f"ILP oracle failed on n={n} d={d} s={s}: {res.message}")
+    return round(-res.fun)

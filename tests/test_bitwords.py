@@ -7,7 +7,6 @@ from vcx.bitwords import (
     mask_of,
     popcount,
     submasks,
-    unrank_k_subset,
 )
 from vcx.constructions import SplitMix64
 
@@ -44,13 +43,6 @@ def test_k_subset_masks_matches_filtered_range():
         want = [m for m in range(1 << n) if popcount(m) == k]
         assert got == want, f"(n={n}, k={k})"
         assert len(got) == comb(n, k)
-
-
-def test_unrank_agrees_with_enumeration():
-    for n, k in [(5, 2), (6, 3), (8, 4), (9, 1)]:
-        all_masks = list(k_subset_masks(n, k))
-        for i, m in enumerate(all_masks):
-            assert unrank_k_subset(i, n, k) == m, f"rank {i} at (n={n}, k={k})"
 
 
 def test_submasks_complete_and_within():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_certificates, oracle_max_family, oracle_vc_le
+from oracles import oracle_certificates, oracle_ilp_max, oracle_max_family, oracle_vc_le
 from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
@@ -126,6 +126,7 @@ PINNED_RESULTS = [
     ((exact_max, 5, 2), 10, True, (7, 11, 13, 14, 19, 21, 22, 25, 26, 28)),
     ((exact_max, 6, 2), 13, True, (7, 11, 13, 14, 19, 21, 22, 25, 35, 37, 38, 42, 52)),
     ((exact_max, 5, 4), 1, True, (31,)),
+    ((exact_max, 7, 2), 16, True, (7, 11, 13, 14, 19, 21, 22, 25, 35, 37, 38, 42, 52, 67, 69, 70)),
     ((certificate_order_max, 6, 2, 0), 10, True, (7, 11, 13, 14, 19, 21, 22, 25, 26, 28)),
     ((certificate_order_max, 6, 2, 1), 10, True, (7, 11, 13, 14, 19, 21, 22, 35, 37, 38)),
     ((certificate_order_max, 6, 2, 2), 10, True, (7, 11, 13, 19, 21, 25, 35, 37, 41, 49)),
@@ -212,6 +213,72 @@ def test_resume_live_set_matches_from_scratch_check(data):
     if live:  # the include branch updates the state incrementally
         child = eng._include_head(*state)
         assert eng.indices(child[-1]) == expected(live[0] + 1, members + [live[0]])
+
+
+def _lex_cut(n, cands, members, live):
+    """The lex-leader rule on candidate masks: for some transposition (i i+1),
+    walking the moved pairs (c, tau(c)), c < tau(c), in order of c, the first
+    pair whose ends differ in the family comes before any pair with a live end
+    and has c outside the family. Non-live non-members are out."""
+    index = {m: j for j, m in enumerate(cands)}
+    for i in range(1, n):
+        lo, hi = 1 << (i - 1), 1 << i
+        for c, m in enumerate(cands):
+            if m & lo and not m & hi:
+                t = index[m ^ lo ^ hi]
+                if c in live or t in live:
+                    break
+                if (c in members) != (t in members):
+                    if c not in members:
+                        return True
+                    break
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lex_cut_matches_moved_pair_walk(data):
+    """The packed cut at a subtree task's root and at its include child
+    agrees with a plain walk of each adjacent transposition's moved pairs."""
+    n = data.draw(st.sampled_from([6, 7]), label="n")
+    s = data.draw(st.sampled_from([None, 0, 1, 2]), label="s")  # None: exact
+    eng = _Engine(n, 2, proper_trace_mask(3) if s is None else size_layer_mask(3, s))
+    sets = [frozenset(e for e in range(1, n + 1) if m >> (e - 1) & 1) for m in eng.cands]
+    start = data.draw(st.integers(1, len(sets)), label="start")
+    limit = data.draw(st.integers(0, 12), label="limit")
+    members = []
+    for i in data.draw(st.permutations(range(start)), label="order"):
+        if len(members) < limit and _keeps_certificates([sets[j] for j in members + [i]], s):
+            members.append(i)
+    state = eng.state(start, sorted(members))
+    children = [state, eng._include_head(*state)] if state[-1] else [state]
+    for _, packed_members, _, packed_live in children:
+        expected = _lex_cut(
+            n, eng.cands, set(eng.indices(packed_members)), set(eng.indices(packed_live))
+        )
+        assert eng._dominated(packed_members) == expected
+
+
+def test_lex_cut_prunes_the_search():
+    # without the cut: 10,131 and 50,741 nodes
+    assert exact_max(6, 2).nodes < 1000
+    assert certificate_order_max(7, 2, 1).nodes < 5000
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (exact_max, (6, 2)),
+        (certificate_order_max, (6, 2, 0)),
+        (certificate_order_max, (6, 2, 1)),
+        (certificate_order_max, (6, 2, 2)),
+    ],
+    ids=["exact_6_2", "order_6_2_0", "order_6_2_1", "order_6_2_2"],
+)
+def test_values_match_ilp_oracle(fn, args):
+    r = fn(*args)
+    assert r.optimal
+    assert r.best == oracle_ilp_max(*args)
 
 
 def test_witness_8_2_reaches_bracket_lower_end():
