@@ -147,10 +147,8 @@ def _at_least(low: int, kind=int):
     return parse
 
 
-def _common(sub):
+def _json(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
 
 
 def make_parser() -> Parser:
@@ -163,27 +161,28 @@ def make_parser() -> Parser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--out", required=True)
-    _common(g)
+    g.add_argument("--seed", type=int, default=0, help="seed for --kind random")
+    _json(g)
 
     v = subs.add_parser("vc", help="VC dimension and the classical size bounds")
     v.add_argument("--input", required=True)
-    _common(v)
+    _json(v)
 
     s = subs.add_parser("shadow", help="r-shadow or its complement within C([n],r)")
     s.add_argument("--input", required=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--complement", action="store_true")
-    _common(s)
+    _json(s)
 
     c = subs.add_parser("certify", help="maximum-certificate assignment and fiber shapes")
     c.add_argument("--input", required=True)
     c.add_argument("--d", type=int, required=True)
-    _common(c)
+    _json(c)
 
     f = subs.add_parser("sunflower", help="find a p-sunflower if one is reachable")
     f.add_argument("--input", required=True)
     f.add_argument("--p", type=int, required=True)
-    _common(f)
+    _json(f)
 
     pl = subs.add_parser("pipeline", help="partition, coefficient map, injection, audit")
     pl.add_argument("--input", required=True)
@@ -193,7 +192,7 @@ def make_parser() -> Parser:
         action="store_true",
         help="treat a shattered member as an invariant violation, not bad input",
     )
-    _common(pl)
+    _json(pl)
 
     se = subs.add_parser("search", help="branch and bound over (d+1)-uniform families")
     se.add_argument("--n", type=int, required=True)
@@ -203,7 +202,14 @@ def make_parser() -> Parser:
     se.add_argument("--target", type=int, default=None)
     se.add_argument("--max-nodes", type=_at_least(0), default=None)
     se.add_argument("--timeout", type=_at_least(0, float), default=None, help="seconds")
-    _common(se)
+    se.add_argument(
+        "--threads",
+        type=_at_least(1),
+        default=1,
+        help="worker processes (default 1); small searches stay serial: workers start "
+        "only if a short serial probe does not settle the search",
+    )
+    _json(se)
 
     fz = subs.add_parser("fuzz", help="seeded campaign asserting every invariant")
     fz.add_argument("--n", type=int)
@@ -212,7 +218,8 @@ def make_parser() -> Parser:
     fz.add_argument("--seed0", type=int, default=0)
     fz.add_argument("--artifacts", default="fuzz-artifacts", help="failure dump directory")
     fz.add_argument("--replay", default=None, help="replay a dumped failure manifest")
-    _common(fz)
+    fz.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
+    _json(fz)
 
     return p
 

@@ -86,6 +86,10 @@ MODE_ORDER = "order"
 
 _TIME_CHECK_STRIDE = 4096
 
+# Serial nodes a threads > 1 search runs before it starts a pool (see _search):
+# about 40 ms at 0.3-0.4M nodes/s, twice the pool's start-up cost on two cores.
+_PROBE = 1 << 14
+
 # Cost guard, checked before any enumeration. The engine keeps two rows of
 # C(n,d+1) * 2^(d+1) bits per candidate, at most 8 MiB at both limits, and its
 # DFS recurses once per included member, so the candidate count must stay below
@@ -347,6 +351,23 @@ def _verify_witness(n: int, d: int, mode: str, s: int | None, witness):
 def _search(
     n: int, d: int, mode: str, s: int | None, stop_at, max_nodes, timeout, threads
 ) -> SearchResult:
+    """Run one search serially, or with threads > 1 as a serial probe and then
+    a pool.
+
+    With threads > 1 the serial engine first runs as a probe of _PROBE nodes.
+    If it exhausts the tree, reaches stop_at, or stops on the caller's
+    deadline or on a caller's max_nodes of at most _PROBE, its result is
+    returned exactly as a serial call returns it, nodes_exact included, and no
+    pool starts. Only a probe that runs out of its own budget, with time left
+    before the deadline, hands over to _search_parallel, seeded with the
+    probe's best and witness so its work is not lost. The probe is a prefix of
+    the serial DFS, so its first family of any size is the serial run's
+    first, and a task replaces it only with a strictly larger family (see
+    _search_parallel); the witness is still the serial one. The probe's
+    _PROBE nodes count against max_nodes, and the pool gets the rest, split
+    across its tasks. Reported nodes are then the probe's plus the pool's,
+    with nodes_exact False.
+    """
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
     if n > 63:
@@ -367,16 +388,18 @@ def _search(
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
     req = _required_mask(d + 1, mode, s)
-    if threads > 1:
-        result = _search_parallel(
-            n, d, req, seed_best, seed_witness, stop_at, max_nodes, deadline, threads
+    probe = threads > 1 and (max_nodes is None or max_nodes > _PROBE)
+    eng = _Engine(n, d, req, max_nodes=_PROBE if probe else max_nodes, deadline=deadline)
+    eng.run(seed_best, seed_witness, stop_at=stop_at)
+    best, witness = eng.best, eng.witness
+    nodes, exhausted, nodes_exact = eng.nodes, eng.exhausted, True
+    # only a probe that ran out of its own budget passes _PROBE nodes
+    if probe and nodes > _PROBE and (deadline is None or time.monotonic() < deadline):
+        pool_nodes = None if max_nodes is None else max_nodes - _PROBE
+        best, witness, task_nodes, exhausted, nodes_exact = _search_parallel(
+            n, d, req, best, witness, stop_at, pool_nodes, deadline, threads
         )
-        best, witness, nodes, exhausted, nodes_exact = result
-    else:
-        eng = _Engine(n, d, req, max_nodes=max_nodes, deadline=deadline)
-        eng.run(seed_best, seed_witness, stop_at=stop_at)
-        best, witness = eng.best, eng.witness
-        nodes, exhausted, nodes_exact = eng.nodes, eng.exhausted, True
+        nodes += task_nodes
     _verify_witness(n, d, mode, s, witness)
     wall_ms = int((time.monotonic() - started) * 1000)
     return SearchResult(
@@ -408,16 +431,21 @@ def _subtree_worker(payload):
 def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, deadline, threads):
     """Run the frontier subtrees on a pool, at most 2*threads in flight.
 
+    _search calls this only after a serial probe has run out of its budget.
+    seed_best and seed_witness are the probe's, and max_nodes is what is left
+    of the caller's budget (None: no limit), split evenly across the tasks.
+    The frontier covers the whole tree, the probed prefix included.
+
     Tasks go out in frontier order, each seeded with the best size finished
-    tasks have reported, so every task it learns from lies before it. The
-    first task in frontier order with a family of the final best size (in
-    witness mode: of size stop_at or more) is therefore seeded below that
-    size and finds the family the serial run finds; earlier tasks report
-    less and later ones cannot displace it. After a task reaches stop_at,
-    nothing more is dispatched and later tasks are not counted."""
-    if stop_at is not None and seed_best >= stop_at:
-        return seed_best, tuple(seed_witness), 0, False, True
-    frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH)  # fills _tables pre-fork
+    tasks have reported, or the probe's if larger, so every task it learns
+    from lies before it. A task only replaces the witness with a strictly
+    larger family, so if the probe already holds the final best size its
+    witness stands. Otherwise the first task in frontier order with a family
+    of the final best size (in witness mode: of size stop_at or more) is
+    seeded below that size and finds the family the serial run finds; earlier
+    tasks report less and later ones cannot displace it. After a task reaches
+    stop_at, nothing more is dispatched and later tasks are not counted."""
+    frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH)  # _tables is filled pre-fork
     per_task_nodes = None if max_nodes is None else max(1, max_nodes // max(1, len(frontier)))
     results = [None] * len(frontier)
     reached = len(frontier)  # first frontier position whose task reached stop_at

@@ -199,6 +199,18 @@ def test_out_of_range_counts_are_rejected_at_parse_time(args):
     assert_usage_error(run_cli(*args), args[-2])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("vc", "--input", "x.fam", "--threads", "2"),
+        ("certify", "--input", "x.fam", "--d", "2", "--seed", "3"),
+    ],
+    ids=["vc-threads", "certify-seed"],
+)
+def test_flags_a_command_would_ignore_are_refused(args):
+    assert_usage_error(run_cli(*args), "unrecognized arguments", args[-2])
+
+
 def test_search_cost_guard_refuses_huge_instance():
     # C(63,31) candidates: refused before any enumeration starts
     assert_usage_error(run_cli("search", "--n", "63", "--d", "30"), "candidates")

@@ -9,6 +9,7 @@ from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
     MAX_CANDIDATES,
+    _PROBE,
     _Engine,
     certificate_order_max,
     exact_max,
@@ -93,8 +94,9 @@ def test_order_mode_small_values():
     r2 = certificate_order_max(6, 2, 2)
     assert r0.optimal and r2.optimal
     assert r0.best == 10 and r2.best == 10
-    for member in witness_family(r2).members:
-        pass  # structure is re-verified inside the search before returning
+    for r, s in ((r0, 0), (r2, 2)):
+        sets = [w.elements() for w in witness_family(r).members]
+        assert len(sets) == 10 and _keeps_certificates(sets, s)
 
 
 def test_order_mode_rejects_bad_s():
@@ -116,6 +118,8 @@ def test_parallel_search_agrees():
     b = exact_max(6, 2, threads=2)
     assert a.best == b.best
     assert b.optimal
+    assert a.nodes <= _PROBE  # settled by the serial probe: no pool
+    assert (b.nodes, b.nodes_exact) == (a.nodes, True)
 
 
 # (best, optimal, witness) recorded from the index-walk engine before forward
@@ -164,14 +168,44 @@ def test_search_results_are_pinned(call, best, optimal, witness):
         (lower_bound_witness, (7, 2, 16)),
         (exact_max, (6, 2)),
         (lower_bound_witness, (8, 2)),
+        (exact_max, (7, 2)),
     ],
-    ids=["exact", "order", "witness", "exact_6_2", "witness_8_2"],
+    ids=["exact", "order", "witness", "exact_6_2", "witness_8_2", "exact_7_2"],
 )
 def test_serial_and_parallel_agree(fn, args):
     serial = fn(*args)
     parallel = fn(*args, threads=2)
     assert (parallel.best, parallel.optimal) == (serial.best, serial.optimal)
     assert parallel.witness == serial.witness
+    if serial.nodes <= _PROBE:  # settled inside the serial probe: no pool
+        assert (parallel.nodes, parallel.nodes_exact) == (serial.nodes, True)
+    else:  # exact (7,2), 84,651 serial nodes, reaches the pool
+        assert parallel.nodes_exact is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    call=st.sampled_from([
+        (certificate_order_max, (7, 2, 0)),
+        (certificate_order_max, (7, 2, 1)),
+        (certificate_order_max, (7, 2, 2)),
+        (exact_max, (6, 2)),
+        (exact_max, (7, 2)),  # the only one whose budget binds all the way to _PROBE
+    ]),
+    max_nodes=st.integers(1, _PROBE),
+)
+def test_budgets_mean_the_same_below_the_probe(call, max_nodes):
+    fn, args = call
+    serial = fn(*args, max_nodes=max_nodes)
+    parallel = fn(*args, max_nodes=max_nodes, threads=2)
+    fields = ("best", "optimal", "witness", "nodes", "nodes_exact")
+    assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields]
+
+
+def test_probe_stopped_by_deadline_starts_no_pool():
+    r = exact_max(7, 2, timeout=0, threads=2)
+    assert not r.optimal
+    assert r.nodes_exact  # the pool would have made the count inexact
 
 
 def _keeps_certificates(sets, s):
