@@ -6,13 +6,12 @@ from vcx import (
     SubsetWord,
     UniformFamily,
     build_assignment,
-    certificates_of,
     classify_fiber,
     fiber_bound,
-    max_certificate,
     random_maximal_vc_family,
     vc_dimension,
 )
+from vcx.bitwords import submasks
 from vcx.constructions import FuzzSeed
 
 
@@ -30,9 +29,12 @@ def tour_by_hand():
     print(f"family over [{n}]:", " ".join(show(w) for w in fam.members))
     print("vc dimension:", vc_dimension(fam))
     print()
+    assign = build_assignment(fam, 2)
     for F in fam.members:
-        certs = certificates_of(F, fam)
-        top = max_certificate(F, fam)
+        f = F.bits
+        realized = {m & f for m in fam.masks}
+        certs = [SubsetWord(t, n) for t in sorted(submasks(f)) if t != f and t not in realized]
+        top = assign.certificate_of(F)
         print(f"member {show(F)}")
         print("  certificates:", " ".join(show(c) for c in certs) or "(none)")
         print(f"  assigned (largest, then least as an integer): {show(top)}")

@@ -7,11 +7,9 @@ from .certificates import (
     CertificateAssignment,
     FiberShape,
     build_assignment,
-    certificates_of,
     classify_fiber,
     fiber_bound,
     fiber_size_histogram,
-    max_certificate,
 )
 from .constructions import (
     FuzzSeed,

@@ -18,16 +18,19 @@ def mask_of(elements) -> int:
     return m
 
 
+def positions_of(mask: int) -> tuple[int, ...]:
+    """Decode a bit word into its set bit positions, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """Decode a bit word into its sorted tuple of elements."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(p + 1 for p in positions_of(mask))
 
 
 def popcount(mask: int) -> int:

@@ -10,50 +10,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bitwords import bit, mask_of, popcount, submasks
+from .bitwords import bit, elements_of, mask_of, popcount, positions_of
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import SubsetWord, UniformFamily
 from .traces import (
     compress_trace,
     expand_index,
-    indices_by_size,
     largest_unrealized,
     occupancy_words,
-    positions_of,
     size_layer_mask,
 )
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
 SINGLETON = "SINGLETON"
-
-
-def certificates_of(F: SubsetWord, fam: UniformFamily) -> list[SubsetWord]:
-    """All certificates of F, canonically sorted. F must be a member."""
-    if F not in fam:
-        raise UsageError(f"{F} is not a member of the family")
-    f = F.bits
-    realized = {m & f for m in fam.masks}
-    return [SubsetWord(t, fam.n) for t in sorted(submasks(f)) if t != f and t not in realized]
-
-
-def max_certificate(F: SubsetWord, fam: UniformFamily, prefer=None) -> SubsetWord:
-    """A maximum-size certificate of F; ties go to the canonical least.
-
-    `prefer` may replace the tie-break: it receives the member and the
-    canonically sorted list of maximum-size certificates and returns one.
-    """
-    certs = certificates_of(F, fam)
-    if not certs:
-        raise MemberShattered(F, fam.k - 1)
-    top = max(len(c) for c in certs)
-    best = [c for c in certs if len(c) == top]
-    if prefer is not None:
-        choice = prefer(F, best)
-        if choice not in best:
-            raise UsageError("prefer hook returned a non-candidate certificate")
-        return choice
-    return best[0]
 
 
 @dataclass
@@ -83,9 +53,6 @@ class CertificateAssignment:
 
     def certificate_of(self, F: SubsetWord) -> SubsetWord:
         return SubsetWord(self.assigned[F.bits], self.family.n)
-
-    def fiber_of(self, T: SubsetWord) -> tuple[SubsetWord, ...]:
-        return tuple(SubsetWord(m, self.family.n) for m in self.fibers.get(T.bits, ()))
 
     def stratum(self, size: int) -> tuple[SubsetWord, ...]:
         return tuple(SubsetWord(m, self.family.n) for m in self.strata.get(size, ()))
@@ -136,7 +103,7 @@ class CertificateAssignment:
                 raise InvariantViolation(f"fiber of {t:#x} has {len(members)} > 3 members")
 
 
-def build_assignment(fam: UniformFamily, d: int, prefer=None) -> CertificateAssignment:
+def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     """Assign every member its canonical maximum certificate.
 
     Runs on the vectorized occupancy words: for each member, take the lowest
@@ -150,22 +117,12 @@ def build_assignment(fam: UniformFamily, d: int, prefer=None) -> CertificateAssi
     positions = [positions_of(m) for m in masks]
     occs = occupancy_words(masks, fam.k, positions)
     layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
-    groups = indices_by_size(fam.k)
     assigned = {}
     for m, occ, pos in zip(masks, occs, positions):
         best = largest_unrealized(occ, layers)
         if best is None:
             raise MemberShattered(SubsetWord(m, fam.n), d)
-        size, c = best
-        if prefer is not None and (layers[size] & ~occ).bit_count() > 1:
-            hit = [i for i in groups[size] if not occ >> i & 1]
-            cands = [SubsetWord(expand_index(i, pos), fam.n) for i in hit]
-            choice = prefer(SubsetWord(m, fam.n), cands)
-            if choice not in cands:
-                raise UsageError("prefer hook returned a non-candidate certificate")
-            assigned[m] = choice.bits
-        else:
-            assigned[m] = expand_index(c, pos)
+        assigned[m] = expand_index(best[1], pos)
     assign = assemble_assignment(fam, d, assigned)
     assign.occupancy = dict(zip(masks, occs))
     assign.positions = dict(zip(masks, positions))
@@ -250,7 +207,7 @@ def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
             raise InvariantViolation(f"fiber member {m:#x} does not extend {t_mask:#x} by a pair")
         pairs.append(p)
     if len(pairs) == 1:
-        x, y = (p + 1 for p in positions_of(pairs[0]))
+        x, y = elements_of(pairs[0])
         return SINGLETON, (x, y)
     if len(pairs) == 2:
         shared = pairs[0] & pairs[1]
@@ -263,7 +220,7 @@ def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
         union = pairs[0] | pairs[1] | pairs[2]
         if popcount(union) != 3 or len({*pairs}) != 3:
             raise InvariantViolation("3-member fiber must be a triangle on three elements")
-        x, y, z = (p + 1 for p in positions_of(union))
+        x, y, z = elements_of(union)
         return TRIANGLE, (x, y, z)
     raise InvariantViolation(f"fiber has {len(pairs)} members, only 1..3 are possible")
 

@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .bitwords import elements_of, popcount
@@ -24,7 +25,13 @@ from .certificates import (
     fiber_bound,
     fiber_size_histogram,
 )
-from .constructions import FuzzSeed, complete_family, random_maximal_vc_family, star_family
+from .constructions import (
+    MAX_GEN_CANDIDATES,
+    FuzzSeed,
+    complete_family,
+    random_maximal_vc_family,
+    star_family,
+)
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import (
     SubsetWord,
@@ -81,16 +88,6 @@ class RunManifest:
     wall_time_ms: int
     result_digest: str
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_ms": self.wall_time_ms,
-            "result_digest": self.result_digest,
-        }
-
 
 def build_manifest(args, payload, t0, input_bytes=None, seed=None) -> RunManifest:
     digest = f"{fnv1a64(input_bytes):016x}" if input_bytes is not None else None
@@ -122,7 +119,7 @@ def _encode(value):
 def emit_report(payload: dict, manifest: RunManifest, as_json: bool, table_lines=None):
     if as_json:
         payload = dict(payload)
-        payload["manifest"] = manifest.as_dict()
+        payload["manifest"] = asdict(manifest)
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in table_lines or []:
@@ -259,7 +256,7 @@ def _read(path: str, mode: str = "r"):
     try:
         with open(path, mode) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -300,6 +297,15 @@ def cmd_shadow(args) -> int:
     raw, fam = _load_input(args.input)
     if not 0 <= args.r < fam.k:
         raise UsageError(f"--r must lie in [0, {fam.k - 1}] for a {fam.k}-uniform family")
+    # every level from k-1 down to r is listed, and the complement lists C(n, r)
+    sizes = [min(comb(fam.n, j), len(fam) * comb(fam.k, j)) for j in range(args.r, fam.k)]
+    if args.complement:
+        sizes.append(comb(fam.n, args.r))
+    if max(sizes) > MAX_GEN_CANDIDATES:
+        raise UsageError(
+            f"shadow at r={args.r} could list {max(sizes)} sets, over the limit of "
+            f"{MAX_GEN_CANDIDATES}"
+        )
     level = fam
     while level.k > args.r + 1:
         below = (w.bits for w in shadow(level).members)

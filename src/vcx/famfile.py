@@ -68,7 +68,7 @@ def load_family(path: str) -> UniformFamily:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_family(text, source=path)
 

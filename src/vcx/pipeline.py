@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bitwords import bit, k_subset_masks, mask_of, popcount, shadow_masks
+from .bitwords import bit, k_subset_masks, mask_of, popcount, positions_of, shadow_masks
 from .certificates import (
     CHERRY,
     SINGLETON,
@@ -34,7 +34,6 @@ from .traces import (
     expand_index,
     largest_unrealized,
     occupancy_words,
-    positions_of,
     size_layer_mask,
 )
 
@@ -327,19 +326,9 @@ def partition_family(
 
 def _v_subsets(v_mask: int, size: int):
     """Subsets of the anchor complement of the given size, canonical order."""
-    if size < 0:
-        return
     positions = positions_of(v_mask)
-    if size > len(positions):
-        return
     for sub in k_subset_masks(len(positions), size):
-        m = 0
-        rest = sub
-        while rest:
-            low = rest & -rest
-            m |= 1 << positions[low.bit_length() - 1]
-            rest ^= low
-        yield m
+        yield expand_index(sub, positions)
 
 
 def build_f(report: PartitionReport) -> PartitionReport:

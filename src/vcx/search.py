@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bitwords import k_subset_masks, submasks
+from .bitwords import k_subset_masks, positions_of, submasks
 from .constructions import star_family
 from .errors import InvariantViolation, UsageError
 from .families import UniformFamily, vc_dimension
@@ -75,7 +75,6 @@ from .traces import (
     compress_trace,
     full_trace_bit,
     occupancy_words,
-    positions_of,
     proper_trace_mask,
     size_layer_mask,
 )
@@ -266,12 +265,7 @@ class _Engine:
 
     def indices(self, members):
         """Candidate indices of the slot-low bits of members, ascending."""
-        out = []
-        while members:
-            b = members & -members
-            out.append(b.bit_length() - 1 >> self.k)
-            members ^= b
-        return out
+        return [p >> self.k for p in positions_of(members)]
 
     def collect_frontier(self, depth: int):
         """All feasible (start, members) states with decisions fixed for the

@@ -13,7 +13,7 @@ proper trace left, so most rejections cost a few dict lookups.
 
 import numpy as np
 
-from .bitwords import popcount
+from .bitwords import popcount, positions_of
 from .errors import InvariantViolation
 
 # the batch numpy path packs occupancy into int64, so it needs 2^k <= 63 bits
@@ -38,18 +38,6 @@ def size_layer_mask(k: int, s: int) -> int:
     return m
 
 
-def indices_by_size(k: int) -> list[list[int]]:
-    """Proper-subset compressed indices grouped by size, ascending inside a group.
-
-    Expansion onto a member's sorted bit positions is monotone, so ascending
-    compressed index is ascending canonical order of the decoded subsets.
-    """
-    groups = [[] for _ in range(k + 1)]
-    for c in range((1 << k) - 1):
-        groups[popcount(c)].append(c)
-    return groups
-
-
 def largest_unrealized(occ: int, layers) -> tuple[int, int] | None:
     """(size, compressed index) of the largest unrealized proper trace, the
     canonically least of its size; layers[s] = size_layer_mask(k, s) for s < k.
@@ -61,21 +49,13 @@ def largest_unrealized(occ: int, layers) -> tuple[int, int] | None:
     return None
 
 
-def positions_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def expand_index(c: int, positions) -> int:
     """Decode a compressed trace index back to a mask on the given positions."""
     m = 0
-    for t, p in enumerate(positions):
-        if c >> t & 1:
-            m |= 1 << p
+    while c:
+        low = c & -c
+        m |= 1 << positions[low.bit_length() - 1]
+        c ^= low
     return m
 
 

@@ -6,6 +6,7 @@ from vcx.bitwords import (
     k_subset_masks,
     mask_of,
     popcount,
+    positions_of,
     submasks,
 )
 from vcx.constructions import SplitMix64
@@ -17,6 +18,8 @@ def test_bit_and_mask_round_trip():
     assert mask_of([1, 2, 3]) == 0b111
     assert mask_of([]) == 0
     assert elements_of(0b1011) == (1, 2, 4)
+    assert positions_of(0b1011) == (0, 1, 3)
+    assert elements_of(0) == positions_of(0) == ()
     assert mask_of(elements_of(0b101101)) == 0b101101
 
 

@@ -12,14 +12,12 @@ from vcx.certificates import (
     TRIANGLE,
     assemble_assignment,
     build_assignment,
-    certificates_of,
     classify_fiber,
     fiber_bound,
     fiber_size_histogram,
-    max_certificate,
 )
-from vcx.constructions import FuzzSeed, SplitMix64, random_maximal_vc_family, star_family
-from vcx.errors import InvariantViolation, MemberShattered, UsageError
+from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
+from vcx.errors import InvariantViolation, MemberShattered
 from vcx.families import SubsetWord, UniformFamily
 
 FOUR_FAM = UniformFamily.from_element_lists(
@@ -38,62 +36,20 @@ def masks_to_sets(words):
 # -------------------------------------------------------------- certificates
 
 
-def test_certificates_of_by_hand():
+def test_build_assignment_canonical_choice():
     fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
-    got = masks_to_sets(certificates_of(w(4, 1, 2, 3), fam))
-    assert set(got) == {(), (1,), (2,), (3,), (1, 3), (2, 3)}
-
+    assert build_assignment(fam, 2).certificate_of(w(4, 1, 2, 3)).elements() == (1, 3)
     fam1 = UniformFamily.from_element_lists(3, 3, [[1, 2, 3]])
-    assert len(certificates_of(w(3, 1, 2, 3), fam1)) == 7
-
-    got = masks_to_sets(certificates_of(w(6, 3, 4, 5), FOUR_FAM))
-    assert (3,) in got
-    assert all(len(t) < 2 for t in got)
+    assert build_assignment(fam1, 2).certificate_of(w(3, 1, 2, 3)).elements() == (1, 2)
+    assert build_assignment(FOUR_FAM, 2).certificate_of(w(6, 3, 4, 5)).elements() == (3,)
 
 
-def test_certificates_require_membership():
-    fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3]])
-    with pytest.raises(UsageError):
-        certificates_of(w(4, 1, 2, 4), fam)
-
-
-def test_certificates_match_oracle_seeded():
-    rng = SplitMix64(31)
-    for trial in range(40):
-        n = 4 + rng.below(5)
-        k = 2 + rng.below(min(3, n - 1))
-        pool = list(k_subset_masks(n, k))
-        rng.shuffle(pool)
-        fam = UniformFamily.from_masks(n, k, pool[: 3 + rng.below(12)])
-        for F in fam.members:
-            want = {mask_from(t) for t in oracle_certificates(F.elements(), [m.elements() for m in fam.members])}
-            got = {x.bits for x in certificates_of(F, fam)}
-            assert got == want, f"trial {trial}, member {F}"
-
-
-def test_max_certificate_canonical_choice():
-    fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
-    assert max_certificate(w(4, 1, 2, 3), fam).elements() == (1, 3)
-    fam1 = UniformFamily.from_element_lists(3, 3, [[1, 2, 3]])
-    assert max_certificate(w(3, 1, 2, 3), fam1).elements() == (1, 2)
-    assert max_certificate(w(6, 3, 4, 5), FOUR_FAM).elements() == (3,)
-
-
-def test_max_certificate_shattered_member_raises():
+def test_build_assignment_shattered_member_raises():
     # In the complete 3-uniform family on [6], every proper subset of {1,2,3}
     # is realized as a trace ({4,5,6} gives the empty one), so no certificate.
     fam = UniformFamily.from_masks(6, 3, k_subset_masks(6, 3))
     with pytest.raises(MemberShattered):
-        max_certificate(w(6, 1, 2, 3), fam)
-
-
-def test_max_certificate_prefer_hook():
-    fam = UniformFamily.from_element_lists(3, 3, [[1, 2, 3]])
-    pick_last = lambda F, options: options[-1]
-    assert max_certificate(w(3, 1, 2, 3), fam, prefer=pick_last).elements() == (2, 3)
-    bad = lambda F, options: SubsetWord(0b111, 3)
-    with pytest.raises(UsageError):
-        max_certificate(w(3, 1, 2, 3), fam, prefer=bad)
+        build_assignment(fam, 2)
 
 
 # ---------------------------------------------------------------- assignment
@@ -143,12 +99,13 @@ def test_assignment_validate_catches_non_canonical_choice():
         fam = random_maximal_vc_family(FuzzSeed(seed, 8, 2))
         assign = build_assignment(fam, 2)
         assign.validate()
+        lists = [F.elements() for F in fam.members]
         for F in fam.members:
-            top = [c for c in certificates_of(F, fam) if len(c) == 2]
+            top = sorted(mask_from(t) for t in oracle_certificates(F.elements(), lists) if len(t) == 2)
             if len(top) < 2:
                 continue
             assigned = dict(assign.assigned)
-            assigned[F.bits] = top[1].bits
+            assigned[F.bits] = top[1]
             custom = assemble_assignment(fam, 2, assigned)
             custom.validate(check_tie_break=False)
             with pytest.raises(InvariantViolation, match="canonical"):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,12 +10,13 @@ from vcx.famfile import format_family, load_family
 from vcx.fuzzing import dump_failure_artifact
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "vcx", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
     return proc
 
@@ -186,6 +188,20 @@ def test_replay_directory_is_a_usage_error(tmp_path):
     assert_usage_error(run_cli("fuzz", "--replay", str(tmp_path)), "cannot read")
 
 
+def test_non_utf8_input_is_a_usage_error(tmp_path):
+    bad = tmp_path / "f.fam"
+    bad.write_bytes(b"4 3\n1 2 \xff\n")
+    assert_usage_error(run_cli("vc", "--input", str(bad)), "cannot read", str(bad))
+
+
+def test_non_utf8_replay_family_is_a_usage_error(tmp_path):
+    stem = dump_failure_artifact(str(tmp_path), 6, 2, 5, "synthetic", "")
+    with open(stem + ".fam", "wb") as fh:
+        fh.write(b"\xff\n")
+    proc = run_cli("fuzz", "--replay", stem + ".json")
+    assert_usage_error(proc, "cannot read", stem + ".fam")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -214,6 +230,21 @@ def test_flags_a_command_would_ignore_are_refused(args):
 def test_search_cost_guard_refuses_huge_instance():
     # C(63,31) candidates: refused before any enumeration starts
     assert_usage_error(run_cli("search", "--n", "63", "--d", "30"), "candidates")
+
+
+@pytest.mark.parametrize(
+    "k, r, extra",
+    [(32, 31, ["--complement"]), (60, 30, [])],
+    ids=["complement-C(63,31)", "level-C(60,30)"],
+)
+def test_shadow_cost_guard_refuses_huge_listing(tmp_path, k, r, extra):
+    # one member of size k over [63]: tiny input, astronomically many r-sets
+    fam = tmp_path / "one.fam"
+    fam.write_text(f"63 {k}\n" + " ".join(str(e) for e in range(1, k + 1)) + "\n")
+    t0 = time.monotonic()
+    proc = run_cli("shadow", "--input", str(fam), "--r", str(r), *extra, timeout=10)
+    assert_usage_error(proc, "limit")
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_version_and_help():

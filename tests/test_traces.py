@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcx.bitwords import k_subset_masks, popcount
+from vcx.bitwords import k_subset_masks, positions_of
 from vcx.constructions import SplitMix64
 from vcx.traces import (
     TraceTracker,
@@ -10,9 +10,7 @@ from vcx.traces import (
     compress_trace,
     expand_index,
     full_trace_bit,
-    indices_by_size,
     occupancy_words,
-    positions_of,
     proper_trace_mask,
     size_layer_mask,
 )
@@ -32,16 +30,6 @@ def test_trace_index_masks():
         assert union & layer == 0
         union |= layer
     assert union == proper_trace_mask(3)
-
-
-def test_indices_by_size_partition():
-    groups = indices_by_size(4)
-    seen = set()
-    for s, idxs in enumerate(groups):
-        for i in idxs:
-            assert popcount(i) == s
-            seen.add(i)
-    assert seen == set(range((1 << 4) - 1))
 
 
 def test_compress_expand_round_trip():
