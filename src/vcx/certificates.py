@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .bitwords import bit, elements_of, mask_of, popcount, positions_of
+from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import SubsetWord, UniformFamily
 from .traces import (
@@ -54,16 +55,12 @@ class CertificateAssignment:
     def certificate_of(self, F: SubsetWord) -> SubsetWord:
         return SubsetWord(self.assigned[F.bits], self.family.n)
 
-    def stratum(self, size: int) -> tuple[SubsetWord, ...]:
-        return tuple(SubsetWord(m, self.family.n) for m in self.strata.get(size, ()))
-
-    def validate(self, check_tie_break: bool = True):
+    def validate(self):
         """Re-derive everything and fail loudly on any mismatch.
 
-        With check_tie_break each certificate must be the canonical choice: no
+        Each certificate must be a valid one and the canonical choice: no
         unrealized trace is larger or of equal size and canonically earlier.
-        Without it (custom assignments) only certificate validity, grouping
-        consistency, and the fiber-size facts are enforced.
+        The groupings and the fiber-size facts are checked too.
         """
         fam = self.family
         if set(self.assigned) != set(fam.masks):
@@ -85,7 +82,7 @@ class CertificateAssignment:
             if not unrealized >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
             size = c.bit_count()
-            if check_tie_break and unrealized & (above[size] | layers[size] & ((1 << ci) - 1)):
+            if unrealized & (above[size] | layers[size] & ((1 << ci) - 1)):
                 raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
             regroup_fibers.setdefault(c, []).append(m)
             regroup_strata.setdefault(size, []).append(m)
@@ -113,6 +110,8 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     """
     if fam.k != d + 1:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
+    if 1 << fam.k > MAX_GEN_CANDIDATES:  # occupancy words hold 2^(d+1) traces each
+        raise UsageError(f"2^{fam.k} traces per member exceed the limit of {MAX_GEN_CANDIDATES}")
     masks = fam.masks
     positions = [positions_of(m) for m in masks]
     occs = occupancy_words(masks, fam.k, positions)

@@ -203,8 +203,8 @@ def make_parser() -> Parser:
         "--threads",
         type=_at_least(1),
         default=1,
-        help="worker processes (default 1); small searches stay serial: workers start "
-        "only if a short serial probe does not settle the search",
+        help="worker processes (default 1); a search with --max-nodes, or one a short "
+        "serial probe settles, stays serial; workers start where the probe stopped",
     )
     _json(se)
 

@@ -65,7 +65,7 @@ def check_family(fam: UniformFamily, d: int, seed: int = -1) -> FamilyCheck:
     raises InvariantViolation from the failing layer.
     """
     assign = build_assignment(fam, d)
-    assign.validate(check_tie_break=True)
+    assign.validate()
     _, biggest = fiber_size_histogram(assign)
 
     shapes: dict = {}

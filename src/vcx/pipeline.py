@@ -27,6 +27,7 @@ from .certificates import (
     build_assignment,
     fiber_shape_elements,
 )
+from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import UniformFamily
 from .traces import (
@@ -243,6 +244,10 @@ def partition_family(
         raise UsageError(f"pipeline needs d >= 1, got d={d}")
     if fam.n < 2:
         raise UsageError(f"pipeline needs n >= 2, got n={fam.n}")
+    if comb(fam.n - 2, d - 1) > MAX_GEN_CANDIDATES:  # the (d-1)-subsets of V, listed below
+        raise UsageError(
+            f"C({fam.n - 2},{d - 1}) index sets exceed the limit of {MAX_GEN_CANDIDATES}"
+        )
     if assign is None:
         try:
             assign = build_assignment(fam, d)

@@ -165,7 +165,7 @@ def _tables(n: int, d: int):
 
 
 class _Engine:
-    """One sequential branch-and-bound run. Subtree tasks re-enter via resume()."""
+    """One sequential branch-and-bound run of the whole tree or of a subtree task."""
 
     def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None):
         self.k = k = d + 1
@@ -180,33 +180,19 @@ class _Engine:
         self.deadline = deadline
         self.fp_cap = comb(n, d)
         self.nodes = 0
-        self.best = 0
-        self.witness = ()
-        self.stop_at = None
-        self.stopped = False
-        self.exhausted = True
+        self.halt = None  # (members, live) of the node that ran out of max_nodes
 
-    def run(self, seed_best: int, seed_witness, stop_at=None):
-        if stop_at is not None and seed_best >= stop_at:
-            self.best, self.witness = seed_best, tuple(seed_witness)
-            self.stopped = True
-            self.exhausted = False
-            return
-        if self.req & ~self.full == 0:
-            raise InvariantViolation("a single member family cannot be infeasible")
-        self.resume(1, [0], seed_best, stop_at, seed_witness)
-
-    def resume(self, start_index: int, member_indices, seed_best: int, stop_at=None,
-               seed_witness=()):
-        """Run the subtree that has already fixed decisions below start_index."""
-        self.best = seed_best
-        self.witness = tuple(seed_witness)
-        self.stop_at = stop_at
+    def run(self, start_index: int, member_indices, seed_best: int, seed_witness=(),
+            stop_at=None):
+        """Run the subtree that has fixed decisions below start_index; the
+        whole tree is run(1, [0], ...)."""
+        self.best, self.witness, self.stop_at = seed_best, tuple(seed_witness), stop_at
+        self.stopped = stop_at is not None and seed_best >= stop_at
         try:
-            self._dfs(*self.state(start_index, member_indices), len(member_indices))
+            if not self.stopped:
+                self._dfs(*self.state(start_index, member_indices), len(member_indices))
+            self.exhausted = not self.stopped
         except _Budget:
-            self.exhausted = False
-        if self.stopped:
             self.exhausted = False
 
     def state(self, start, member_indices):
@@ -267,17 +253,25 @@ class _Engine:
         """Candidate indices of the slot-low bits of members, ascending."""
         return [p >> self.k for p in positions_of(members)]
 
-    def collect_frontier(self, depth: int):
+    def collect_frontier(self, depth: int, halt):
         """All feasible (start, members) states with decisions fixed for the
-        first `depth` candidates, in DFS discovery order. Root stays forced."""
+        first `depth` candidates, in DFS discovery order. Root stays forced.
+        A state is left out when it lies wholly before the node halt =
+        (members, live): over the candidates below depth that halt decided,
+        the first where they differ is one of the state's members, whose
+        include branch the DFS finished before excluding it on the way to halt."""
         frontier = []
         before = (1 << (depth << self.k)) - 1
+        halt_members, halt_live = halt
+        decided = self.low & before & ~halt_live
 
         def walk(occ, members, crit, live):
             if self._dominated(members):
                 return
             if not live & before:
-                frontier.append((depth, tuple(self.indices(members))))
+                diff = (members ^ halt_members) & decided
+                if not diff & -diff & members:
+                    frontier.append((depth, tuple(self.indices(members))))
                 return
             walk(*self._include_head(occ, members, crit, live))
             walk(occ, members, crit, live & (live - 1))
@@ -290,6 +284,7 @@ class _Engine:
         while True:
             self.nodes += 1
             if self.max_nodes is not None and self.nodes > self.max_nodes:
+                self.halt = members, live
                 raise _Budget
             if self.deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
                 if time.monotonic() > self.deadline:
@@ -345,22 +340,22 @@ def _verify_witness(n: int, d: int, mode: str, s: int | None, witness):
 def _search(
     n: int, d: int, mode: str, s: int | None, stop_at, max_nodes, timeout, threads
 ) -> SearchResult:
-    """Run one search serially, or with threads > 1 as a serial probe and then
-    a pool.
+    """Run one search serially, or with threads > 1 and no max_nodes as a
+    serial probe and then a pool.
 
-    With threads > 1 the serial engine first runs as a probe of _PROBE nodes.
-    If it exhausts the tree, reaches stop_at, or stops on the caller's
-    deadline or on a caller's max_nodes of at most _PROBE, its result is
-    returned exactly as a serial call returns it, nodes_exact included, and no
-    pool starts. Only a probe that runs out of its own budget, with time left
-    before the deadline, hands over to _search_parallel, seeded with the
-    probe's best and witness so its work is not lost. The probe is a prefix of
-    the serial DFS, so its first family of any size is the serial run's
-    first, and a task replaces it only with a strictly larger family (see
-    _search_parallel); the witness is still the serial one. The probe's
-    _PROBE nodes count against max_nodes, and the pool gets the rest, split
-    across its tasks. Reported nodes are then the probe's plus the pool's,
-    with nodes_exact False.
+    A run with max_nodes is serial whatever threads is, so a node budget means
+    the same in every run: a pool visits other nodes than the serial DFS and
+    could end the same budget with another result. Otherwise, with
+    threads > 1, the serial engine first runs as a probe of _PROBE nodes. If it
+    exhausts the tree, reaches stop_at, or stops on the caller's deadline, its
+    result is returned exactly as a serial call returns it. Only a probe that
+    runs out of its own budget, with time left before the deadline, hands
+    over to _search_parallel, with the node it halted at and seeded with its
+    best and witness. The probe is a prefix of the serial DFS, so its first
+    family of any size is the serial run's first, and a task replaces it only
+    with a strictly larger family (see _search_parallel); the witness is still
+    the serial one. Reported nodes are then the probe's plus the pool's, with
+    nodes_exact False: the pool's count depends on task timing.
     """
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
@@ -375,23 +370,24 @@ def _search(
         )
     if mode == MODE_ORDER and not 0 <= s <= d:
         raise UsageError(f"certificate order must lie in 0..{d}, got {s}")
+    req = _required_mask(d + 1, mode, s)
+    if req & ~full_trace_bit(d + 1) == 0:
+        raise InvariantViolation("a single member family cannot be infeasible")
     seed_best, seed_witness = 0, ()
     if mode == MODE_WITNESS:
         star = star_family(n, d)
         seed_best, seed_witness = len(star), star.masks
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
-    req = _required_mask(d + 1, mode, s)
-    probe = threads > 1 and (max_nodes is None or max_nodes > _PROBE)
+    probe = threads > 1 and max_nodes is None
     eng = _Engine(n, d, req, max_nodes=_PROBE if probe else max_nodes, deadline=deadline)
-    eng.run(seed_best, seed_witness, stop_at=stop_at)
-    best, witness = eng.best, eng.witness
-    nodes, exhausted, nodes_exact = eng.nodes, eng.exhausted, True
-    # only a probe that ran out of its own budget passes _PROBE nodes
-    if probe and nodes > _PROBE and (deadline is None or time.monotonic() < deadline):
-        pool_nodes = None if max_nodes is None else max_nodes - _PROBE
-        best, witness, task_nodes, exhausted, nodes_exact = _search_parallel(
-            n, d, req, best, witness, stop_at, pool_nodes, deadline, threads
+    eng.run(1, [0], seed_best, seed_witness, stop_at)
+    best, witness, nodes, exhausted = eng.best, eng.witness, eng.nodes, eng.exhausted
+    # a halt node means the probe ran out of its own budget, not of time
+    pooled = probe and eng.halt is not None and (deadline is None or time.monotonic() < deadline)
+    if pooled:
+        best, witness, task_nodes, exhausted = _search_parallel(
+            n, d, req, best, witness, eng.halt, stop_at, deadline, threads
         )
         nodes += task_nodes
     _verify_witness(n, d, mode, s, witness)
@@ -406,7 +402,7 @@ def _search(
         witness=tuple(sorted(witness)),
         optimal=exhausted,
         nodes=nodes,
-        nodes_exact=nodes_exact,
+        nodes_exact=not pooled,
         wall_time_ms=wall_ms,
     )
 
@@ -415,20 +411,20 @@ _SPLIT_DEPTH = 9
 
 
 def _subtree_worker(payload):
-    (n, d, req, start_index, members, seed_best, stop_at, max_nodes, remaining_time) = payload
+    (n, d, req, start_index, members, seed_best, stop_at, remaining_time) = payload
     deadline = time.monotonic() + remaining_time if remaining_time is not None else None
-    eng = _Engine(n, d, req, max_nodes=max_nodes, deadline=deadline)
-    eng.resume(start_index, members, seed_best, stop_at=stop_at)
+    eng = _Engine(n, d, req, deadline=deadline)
+    eng.run(start_index, members, seed_best, stop_at=stop_at)
     return eng.best, eng.witness, eng.nodes, eng.exhausted
 
 
-def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, deadline, threads):
-    """Run the frontier subtrees on a pool, at most 2*threads in flight.
+def _search_parallel(n, d, req, seed_best, seed_witness, halt, stop_at, deadline, threads):
+    """Run the frontier subtrees the serial probe has not finished on a pool,
+    at most 2*threads in flight.
 
-    _search calls this only after a serial probe has run out of its budget.
-    seed_best and seed_witness are the probe's, and max_nodes is what is left
-    of the caller's budget (None: no limit), split evenly across the tasks.
-    The frontier covers the whole tree, the probed prefix included.
+    _search calls this once a serial probe has run out of its budget at the
+    node halt, with the probe's best and witness as seeds. The frontier leaves
+    out the tasks wholly before halt, which the probe searched.
 
     Tasks go out in frontier order, each seeded with the best size finished
     tasks have reported, or the probe's if larger, so every task it learns
@@ -439,8 +435,7 @@ def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, dea
     seeded below that size and finds the family the serial run finds; earlier
     tasks report less and later ones cannot displace it. After a task reaches
     stop_at, nothing more is dispatched and later tasks are not counted."""
-    frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH)  # _tables is filled pre-fork
-    per_task_nodes = None if max_nodes is None else max(1, max_nodes // max(1, len(frontier)))
+    frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH, halt)  # fills _tables pre-fork
     results = [None] * len(frontier)
     reached = len(frontier)  # first frontier position whose task reached stop_at
     top = seed_best  # the best size the finished tasks have reported
@@ -462,7 +457,7 @@ def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, dea
             if reached < len(frontier):
                 break
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            payload = (n, d, req, start, members, top, stop_at, per_task_nodes, remaining)
+            payload = (n, d, req, start, members, top, stop_at, remaining)
             pending[pool.submit(_subtree_worker, payload)] = pos
         while any(pos < reached for pos in pending.values()):
             collect()
@@ -477,7 +472,7 @@ def _search_parallel(n, d, req, seed_best, seed_witness, stop_at, max_nodes, dea
         exhausted = exhausted and task_exhausted
         if task_best > best and task_witness:
             best, witness = task_best, tuple(task_witness)
-    return best, witness, nodes, exhausted, False
+    return best, witness, nodes, exhausted
 
 
 def exact_max(n, d, max_nodes=None, timeout=None, threads=1) -> SearchResult:

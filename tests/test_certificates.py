@@ -69,7 +69,7 @@ def test_star_assignment():
 def test_four_family_assignment_strata():
     assign = build_assignment(FOUR_FAM, 2)
     assert assign.certificate_of(w(6, 3, 4, 5)).elements() == (3,)
-    assert [x.elements() for x in assign.stratum(1)] == [(3, 4, 5)]
+    assert assign.strata[1] == (w(6, 3, 4, 5).bits,)
     assert len(assign.strata[2]) == 3
 
 
@@ -87,13 +87,13 @@ def test_assignment_validate_catches_tampering():
     good = assign.assigned[first]
     assign.assigned[first] = first & ~good & ~(1 << 0)  # some other subset
     with pytest.raises(InvariantViolation):
-        assign.validate(check_tie_break=False)
+        assign.validate()
     assign.assigned[first] = good
     assign.validate()
 
 
 def test_assignment_validate_catches_non_canonical_choice():
-    """A valid but non-canonical certificate passes only without the tie-break check."""
+    """A valid but non-canonical certificate is refused."""
     swapped = 0
     for seed in range(10):
         fam = random_maximal_vc_family(FuzzSeed(seed, 8, 2))
@@ -107,7 +107,6 @@ def test_assignment_validate_catches_non_canonical_choice():
             assigned = dict(assign.assigned)
             assigned[F.bits] = top[1]
             custom = assemble_assignment(fam, 2, assigned)
-            custom.validate(check_tie_break=False)
             with pytest.raises(InvariantViolation, match="canonical"):
                 custom.validate()
             swapped += 1
@@ -134,7 +133,7 @@ def test_build_assignment_agrees_with_oracle_certificates(data):
     for m, certs in found.items():
         top = max(len(t) for t in certs)
         assert assign.assigned[m] == min(mask_from(t) for t in certs if len(t) == top)
-    assign.validate(check_tie_break=True)
+    assign.validate()
 
 
 def test_fiber_bound_values():

@@ -247,6 +247,21 @@ def test_shadow_cost_guard_refuses_huge_listing(tmp_path, k, r, extra):
     assert time.monotonic() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "cmd, k, d, word",
+    [("certify", 30, 29, "2^30 traces"), ("pipeline", 10, 9, "C(61,8) index sets")],
+    ids=["certify-2^30-traces", "pipeline-C(61,8)-index-sets"],
+)
+def test_wide_member_cost_guards_refuse_before_listing(tmp_path, cmd, k, d, word):
+    # one member of size k over [63]: 2^k occupancy bits, C(61, d-1) index sets
+    fam = tmp_path / "one.fam"
+    fam.write_text(f"63 {k}\n" + " ".join(str(e) for e in range(1, k + 1)) + "\n")
+    t0 = time.monotonic()
+    proc = run_cli(cmd, "--input", str(fam), "--d", str(d), timeout=10)
+    assert_usage_error(proc, word, "limit")
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_version_and_help():
     assert run_cli("--version").returncode == 0
     proc = run_cli("--help")

@@ -181,6 +181,10 @@ def test_serial_and_parallel_agree(fn, args):
         assert (parallel.nodes, parallel.nodes_exact) == (serial.nodes, True)
     else:  # exact (7,2), 84,651 serial nodes, reaches the pool
         assert parallel.nodes_exact is False
+        # The probe already holds 16, so every task is seeded with the final
+        # best and the count does not depend on task timing; the pool skips
+        # the tasks the probe finished.
+        assert parallel.nodes == 88_838
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,11 +194,12 @@ def test_serial_and_parallel_agree(fn, args):
         (certificate_order_max, (7, 2, 1)),
         (certificate_order_max, (7, 2, 2)),
         (exact_max, (6, 2)),
-        (exact_max, (7, 2)),  # the only one whose budget binds all the way to _PROBE
+        (exact_max, (7, 2)),  # 84,651 nodes: the budget binds past _PROBE
     ]),
-    max_nodes=st.integers(1, _PROBE),
+    max_nodes=st.integers(1, 100_000),
 )
-def test_budgets_mean_the_same_below_the_probe(call, max_nodes):
+def test_budgets_mean_the_same_with_threads(call, max_nodes):
+    """A budgeted search runs serially whatever threads is."""
     fn, args = call
     serial = fn(*args, max_nodes=max_nodes)
     parallel = fn(*args, max_nodes=max_nodes, threads=2)
