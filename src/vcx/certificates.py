@@ -19,12 +19,16 @@ from .traces import (
     expand_index,
     largest_unrealized,
     occupancy_words,
-    size_layer_mask,
+    size_layers,
 )
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
 SINGLETON = "SINGLETON"
+
+# |F|^2 bound for build_assignment: the numpy occupancy path holds |F| x |F|
+# temporaries, 128 MiB of int64 at the limit (4,096 members)
+MAX_MEMBER_PAIRS = 1 << 24
 
 
 @dataclass
@@ -69,7 +73,7 @@ class CertificateAssignment:
         occs = self.occupancy or dict(
             zip(fam.masks, occupancy_words(fam.masks, fam.k, [positions[m] for m in fam.masks]))
         )
-        layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
+        layers = size_layers(fam.k)
         above = [sum(layers[s + 1 :]) for s in range(fam.k)]  # bits of every larger size
         regroup_fibers = {}
         regroup_strata = {}
@@ -112,10 +116,12 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
     if 1 << fam.k > MAX_GEN_CANDIDATES:  # occupancy words hold 2^(d+1) traces each
         raise UsageError(f"2^{fam.k} traces per member exceed the limit of {MAX_GEN_CANDIDATES}")
+    if len(fam) ** 2 > MAX_MEMBER_PAIRS:  # occupancy_words compares every pair of members
+        raise UsageError(f"{len(fam)}^2 member pairs exceed the limit of {MAX_MEMBER_PAIRS}")
     masks = fam.masks
     positions = [positions_of(m) for m in masks]
     occs = occupancy_words(masks, fam.k, positions)
-    layers = [size_layer_mask(fam.k, s) for s in range(fam.k)]
+    layers = size_layers(fam.k)
     assigned = {}
     for m, occ, pos in zip(masks, occs, positions):
         best = largest_unrealized(occ, layers)

@@ -1,5 +1,13 @@
 """Command-line surface: generators, family reports, pipeline, search, fuzz.
 
+Each command is cmd_x(args, fam) -> (payload, lines, exit_code), where fam is
+the family parsed from --input (None for commands without one). It computes
+only its payload, a JSON-ready dict, and the table lines printed without
+--json. run_command does the rest for every command: it reads --input, times
+the run, and prints either the lines or the payload with its run manifest
+(command, input digest, seed, version, wall time, result digest). fuzz
+--replay alone bypasses it: it prints one line and writes no manifest.
+
 Exit codes: 0 success, 1 usage error, 2 invariant violation, 3 budget
 exhausted before the target was reached. All JSON output is deterministic
 for fixed inputs and seeds; wall-time and node-count fields are the only
@@ -13,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from math import comb
 
@@ -79,28 +87,6 @@ def result_digest(payload: dict) -> str:
     return f"{fnv1a64(canon.encode()):016x}"
 
 
-@dataclass
-class RunManifest:
-    command: str
-    input_digest: str | None
-    seed: int | None
-    version: str
-    wall_time_ms: int
-    result_digest: str
-
-
-def build_manifest(args, payload, t0, input_bytes=None, seed=None) -> RunManifest:
-    digest = f"{fnv1a64(input_bytes):016x}" if input_bytes is not None else None
-    return RunManifest(
-        command=" ".join(args.argv),
-        input_digest=digest,
-        seed=seed,
-        version=__version__,
-        wall_time_ms=int((time.monotonic() - t0) * 1000),
-        result_digest=result_digest(payload),
-    )
-
-
 def _member_key(mask: int) -> str:
     return " ".join(str(e) for e in elements_of(mask))
 
@@ -114,16 +100,6 @@ def _encode(value):
     if isinstance(value, dict):
         return {str(k): _encode(v) for k, v in value.items()}
     return value
-
-
-def emit_report(payload: dict, manifest: RunManifest, as_json: bool, table_lines=None):
-    if as_json:
-        payload = dict(payload)
-        payload["manifest"] = asdict(manifest)
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in table_lines or []:
-            print(line)
 
 
 class Parser(argparse.ArgumentParser):
@@ -144,8 +120,13 @@ def _at_least(low: int, kind=int):
     return parse
 
 
-def _json(sub):
+def _command(subs, name: str, help: str, reads_input: bool = False):
+    """A subparser with --json, and with --input when the command reads a family."""
+    sub = subs.add_parser(name, help=help)
+    if reads_input:
+        sub.add_argument("--input", required=True)
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
+    return sub
 
 
 def make_parser() -> Parser:
@@ -153,45 +134,38 @@ def make_parser() -> Parser:
     p.add_argument("--version", action="version", version=f"vcx {__version__}")
     subs = p.add_subparsers(dest="cmd", required=True)
 
-    g = subs.add_parser("gen", help="write a generated family to a .fam file")
+    g = _command(subs, "gen", "write a generated family to a .fam file")
     g.add_argument("--kind", choices=("star", "complete", "random"), required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0, help="seed for --kind random")
-    _json(g)
 
-    v = subs.add_parser("vc", help="VC dimension and the classical size bounds")
-    v.add_argument("--input", required=True)
-    _json(v)
+    _command(subs, "vc", "VC dimension and the classical size bounds", reads_input=True)
 
-    s = subs.add_parser("shadow", help="r-shadow or its complement within C([n],r)")
-    s.add_argument("--input", required=True)
+    s = _command(subs, "shadow", "r-shadow or its complement within C([n],r)", reads_input=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--complement", action="store_true")
-    _json(s)
 
-    c = subs.add_parser("certify", help="maximum-certificate assignment and fiber shapes")
-    c.add_argument("--input", required=True)
+    c = _command(
+        subs, "certify", "maximum-certificate assignment and fiber shapes", reads_input=True
+    )
     c.add_argument("--d", type=int, required=True)
-    _json(c)
 
-    f = subs.add_parser("sunflower", help="find a p-sunflower if one is reachable")
-    f.add_argument("--input", required=True)
+    f = _command(subs, "sunflower", "find a p-sunflower if one is reachable", reads_input=True)
     f.add_argument("--p", type=int, required=True)
-    _json(f)
 
-    pl = subs.add_parser("pipeline", help="partition, coefficient map, injection, audit")
-    pl.add_argument("--input", required=True)
+    pl = _command(
+        subs, "pipeline", "partition, coefficient map, injection, audit", reads_input=True
+    )
     pl.add_argument("--d", type=int, required=True)
     pl.add_argument(
         "--assume-vc",
         action="store_true",
         help="treat a shattered member as an invariant violation, not bad input",
     )
-    _json(pl)
 
-    se = subs.add_parser("search", help="branch and bound over (d+1)-uniform families")
+    se = _command(subs, "search", "branch and bound over (d+1)-uniform families")
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--d", type=int, required=True)
     se.add_argument("--mode", choices=("exact", "witness", "order-s"), default="exact")
@@ -206,9 +180,8 @@ def make_parser() -> Parser:
         help="worker processes (default 1); a search with --max-nodes, or one a short "
         "serial probe settles, stays serial; workers start where the probe stopped",
     )
-    _json(se)
 
-    fz = subs.add_parser("fuzz", help="seeded campaign asserting every invariant")
+    fz = _command(subs, "fuzz", "seeded campaign asserting every invariant")
     fz.add_argument("--n", type=int)
     fz.add_argument("--d", type=int)
     fz.add_argument("--count", type=_at_least(0), default=100)
@@ -216,13 +189,11 @@ def make_parser() -> Parser:
     fz.add_argument("--artifacts", default="fuzz-artifacts", help="failure dump directory")
     fz.add_argument("--replay", default=None, help="replay a dumped failure manifest")
     fz.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
-    _json(fz)
 
     return p
 
 
-def cmd_gen(args) -> int:
-    t0 = time.monotonic()
+def cmd_gen(args, _fam):
     if args.kind == "star":
         fam = star_family(args.n, args.d)
     elif args.kind == "complete":
@@ -241,15 +212,7 @@ def cmd_gen(args) -> int:
         "out": args.out,
         "family_digest": f"{fnv1a64(format_family(fam).encode()):016x}",
     }
-    seed = args.seed if args.kind == "random" else None
-    manifest = build_manifest(args, payload, t0, seed=seed)
-    emit_report(
-        payload,
-        manifest,
-        args.json,
-        [f"wrote {len(fam)} members (n={fam.n}, k={fam.k}) to {args.out}"],
-    )
-    return 0
+    return payload, [f"wrote {len(fam)} members (n={fam.n}, k={fam.k}) to {args.out}"], 0
 
 
 def _read(path: str, mode: str = "r"):
@@ -260,14 +223,7 @@ def _read(path: str, mode: str = "r"):
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_input(path: str):
-    """The input file's bytes (for the manifest) and the family they hold."""
-    return _read(path, "rb"), load_family(path)
-
-
-def cmd_vc(args) -> int:
-    t0 = time.monotonic()
-    raw, fam = _load_input(args.input)
+def cmd_vc(args, fam):
     vc = vc_dimension(fam)
     payload = {
         "n": fam.n,
@@ -277,24 +233,16 @@ def cmd_vc(args) -> int:
         "sauer_shelah": sauer_shelah_bound(fam.n, max(vc, 0)),
         "frankl_pach": frankl_pach_bound(fam.n, fam.k - 1),
     }
-    manifest = build_manifest(args, payload, t0, input_bytes=raw)
-    emit_report(
-        payload,
-        manifest,
-        args.json,
-        [
-            f"n={fam.n} k={fam.k} members={len(fam)}",
-            f"vc_dimension = {vc}",
-            f"sauer_shelah bound at vc: {payload['sauer_shelah']}",
-            f"frankl_pach bound C(n, k-1): {payload['frankl_pach']}",
-        ],
-    )
-    return 0
+    lines = [
+        f"n={fam.n} k={fam.k} members={len(fam)}",
+        f"vc_dimension = {vc}",
+        f"sauer_shelah bound at vc: {payload['sauer_shelah']}",
+        f"frankl_pach bound C(n, k-1): {payload['frankl_pach']}",
+    ]
+    return payload, lines, 0
 
 
-def cmd_shadow(args) -> int:
-    t0 = time.monotonic()
-    raw, fam = _load_input(args.input)
+def cmd_shadow(args, fam):
     if not 0 <= args.r < fam.k:
         raise UsageError(f"--r must lie in [0, {fam.k - 1}] for a {fam.k}-uniform family")
     # every level from k-1 down to r is listed, and the complement lists C(n, r)
@@ -319,17 +267,13 @@ def cmd_shadow(args) -> int:
         "size": len(members),
         "members": members,
     }
-    manifest = build_manifest(args, payload, t0, input_bytes=raw)
     label = "complement shadow" if args.complement else "shadow"
     lines = [f"{label} at r={args.r}: {len(members)} sets"]
     lines += ["  " + " ".join(str(e) for e in m) for m in members]
-    emit_report(payload, manifest, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_certify(args) -> int:
-    t0 = time.monotonic()
-    raw, fam = _load_input(args.input)
+def cmd_certify(args, fam):
     assign = build_assignment(fam, args.d)
     hist, biggest = fiber_size_histogram(assign)
     shapes = []
@@ -359,7 +303,6 @@ def cmd_certify(args) -> int:
         "fiber_bound": fiber_bound(args.d),
         "shapes": shapes,
     }
-    manifest = build_manifest(args, payload, t0, input_bytes=raw)
     lines = [f"certified {len(fam)} members at d={args.d}"]
     lines += [f"  stratum |c|={s}: {len(v)} members" for s, v in assign.strata.items()]
     lines.append(f"  fiber sizes {hist} (max {biggest}, bound {fiber_bound(args.d)})")
@@ -367,13 +310,10 @@ def cmd_certify(args) -> int:
         lines.append(
             f"  fiber of {{{' '.join(map(str, sh['certificate']))}}}: {sh['kind']}"
         )
-    emit_report(payload, manifest, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_sunflower(args) -> int:
-    t0 = time.monotonic()
-    raw, fam = _load_input(args.input)
+def cmd_sunflower(args, fam):
     flower = find_sunflower(fam, args.p)
     if flower is not None and not validate_sunflower(flower):
         raise InvariantViolation("found object failed sunflower validation")
@@ -387,7 +327,6 @@ def cmd_sunflower(args) -> int:
         "core": elements_of(flower.core.bits) if flower else None,
         "petals": [elements_of(w.bits) for w in flower.petals] if flower else None,
     }
-    manifest = build_manifest(args, payload, t0, input_bytes=raw)
     if flower is None:
         lines = [
             f"no {args.p}-sunflower found "
@@ -396,23 +335,12 @@ def cmd_sunflower(args) -> int:
     else:
         lines = [f"{args.p}-sunflower with core {{{' '.join(map(str, payload['core']))}}}"]
         lines += ["  petal " + " ".join(map(str, pet)) for pet in payload["petals"]]
-    emit_report(payload, manifest, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _audit_payload(report) -> dict:
     audit = report.audit
-    sizes = {
-        "f_size": audit.f_size,
-        "f1_size": audit.f1_size,
-        "f2_size": audit.f2_size,
-        "f3_size": audit.f3_size,
-        "index_size": audit.index_size,
-        "comp_shadow_g": audit.comp_shadow_g,
-        "comp_shadow_f3_v": audit.comp_shadow_f3_v,
-        "comp_shadow_g_v": audit.comp_shadow_g_v,
-        "binom_n1_d": audit.binom_n1_d,
-    }
+    sizes = {k: v for k, v in asdict(audit).items() if k not in ("asserted", "reported")}
     asserted = [
         {"name": name, "lhs": lhs, "rhs": rhs, "ok": ok}
         for name, lhs, rhs, ok in audit.asserted
@@ -434,12 +362,8 @@ def _audit_payload(report) -> dict:
     }
 
 
-def cmd_pipeline(args) -> int:
-    t0 = time.monotonic()
-    raw, fam = _load_input(args.input)
+def cmd_pipeline(args, fam):
     report = run_pipeline(fam, args.d, assume_vc=args.assume_vc)
-    payload = _audit_payload(report)
-    manifest = build_manifest(args, payload, t0, input_bytes=raw)
     audit = report.audit
     chain = next(c for c in audit.asserted if c[0] == "family_le_f1_f2_chain")
     lines = [
@@ -451,12 +375,10 @@ def cmd_pipeline(args) -> int:
         + ("  [tight]" if chain[1] == chain[2] else ""),
         f"max column sum: {report.max_column} half-units",
     ]
-    emit_report(payload, manifest, args.json, lines)
-    return 0
+    return _audit_payload(report), lines, 0
 
 
-def cmd_search(args) -> int:
-    t0 = time.monotonic()
+def cmd_search(args, _fam):
     if args.mode == "order-s":
         if args.s is None:
             raise UsageError("order-s mode requires --s")
@@ -470,21 +392,11 @@ def cmd_search(args) -> int:
     else:
         result = exact_max(args.n, args.d, args.max_nodes, args.timeout, args.threads)
     bracket = search_bracket(args.n, args.d)
-    payload = {
-        "n": result.n,
-        "d": result.d,
-        "mode": result.mode,
-        "s": result.s,
-        "target": result.target,
-        "best": result.best,
-        "optimal": result.optimal,
-        "witness": [elements_of(m) for m in result.witness],
-        "nodes": result.nodes,
-        "nodes_exact": result.nodes_exact,
-        "wall_time_ms": result.wall_time_ms,
-        "bracket": list(bracket) if bracket else None,
-    }
-    manifest = build_manifest(args, payload, t0, seed=None)
+    payload = dict(
+        asdict(result),
+        witness=[elements_of(m) for m in result.witness],
+        bracket=list(bracket) if bracket else None,
+    )
     reached = result.target is not None and result.best >= result.target
     lines = [
         f"mode={result.mode} best={result.best} optimal={result.optimal} "
@@ -493,39 +405,17 @@ def cmd_search(args) -> int:
     ]
     if result.target is not None:
         lines.append(f"target {result.target}: {'reached' if reached else 'not reached'}")
-    emit_report(payload, manifest, args.json, lines)
-    if result.mode == "witness":
-        return 0 if reached else 3
-    return 0 if result.optimal else 3
+    settled = reached if result.mode == "witness" else result.optimal
+    return payload, lines, 0 if settled else 3
 
 
-def cmd_fuzz(args) -> int:
-    t0 = time.monotonic()
-    if args.replay is not None:
-        return _replay(args)
+def cmd_fuzz(args, _fam):
     if args.n is None or args.d is None:
         raise UsageError("fuzz requires --n and --d (or --replay)")
     summary = fuzz_campaign(
         args.n, args.d, args.count, args.seed0,
         threads=args.threads, artifact_dir=args.artifacts,
     )
-    payload = {
-        "n": summary.n,
-        "d": summary.d,
-        "count": summary.count,
-        "seed0": summary.seed0,
-        "passes": summary.passes,
-        "failures": [[seed, msg] for seed, msg in summary.failures],
-        "max_fiber": summary.max_fiber,
-        "max_column": summary.max_column,
-        "min_slack": summary.min_slack,
-        "shapes": summary.shapes,
-        "classes": summary.classes,
-        "min_size": summary.min_size,
-        "max_size": summary.max_size,
-        "wall_ms": summary.wall_ms,
-    }
-    manifest = build_manifest(args, payload, t0, seed=args.seed0)
     lines = [
         f"campaign n={summary.n} d={summary.d}: {summary.passes}/{summary.count} passed",
         f"max fiber {summary.max_fiber}, max column {summary.max_column} half-units, "
@@ -534,8 +424,7 @@ def cmd_fuzz(args) -> int:
     ]
     for seed, msg in summary.failures:
         lines.append(f"FAIL seed {seed}: {msg} (artifacts in {args.artifacts})")
-    emit_report(payload, manifest, args.json, lines)
-    return 2 if summary.failures else 0
+    return asdict(summary), lines, 2 if summary.failures else 0
 
 
 def _replay(args) -> int:
@@ -569,13 +458,43 @@ COMMANDS = {
 }
 
 
+def run_command(args, argv) -> int:
+    """Read --input, time the command, print its table lines or its JSON report."""
+    t0 = time.monotonic()
+    raw = fam = None
+    if getattr(args, "input", None) is not None:
+        raw = _read(args.input, "rb")
+        fam = load_family(args.input)
+    payload, lines, code = COMMANDS[args.cmd](args, fam)
+    if not args.json:
+        for line in lines:
+            print(line)
+        return code
+    # the seed the run drew from: fuzz's --seed0 or gen --kind random's --seed
+    if args.cmd == "fuzz":
+        seed = args.seed0
+    else:
+        seed = args.seed if args.cmd == "gen" and args.kind == "random" else None
+    manifest = {
+        "command": " ".join(["vcx", *argv]),
+        "input_digest": f"{fnv1a64(raw):016x}" if raw is not None else None,
+        "seed": seed,
+        "version": __version__,
+        "wall_time_ms": int((time.monotonic() - t0) * 1000),
+        "result_digest": result_digest(payload),
+    }
+    print(json.dumps(dict(payload, manifest=manifest), sort_keys=True, indent=2))
+    return code
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        args.argv = ["vcx"] + argv
-        return COMMANDS[args.cmd](args)
+        if args.cmd == "fuzz" and args.replay is not None:
+            return _replay(args)
+        return run_command(args, argv)
     except UsageError as exc:
         print(f"vcx: usage error: {exc}", file=sys.stderr)
         return 1
@@ -585,9 +504,6 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"vcx: invariant violation: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"vcx: usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Read and write the .fam text format.
 
-Line 1 is "n k". Every later non-blank line holds one member: k strictly
-increasing integers in 1..n separated by whitespace. Lines whose first
-non-blank character is '#' are comments. Errors carry 1-based line numbers.
+Line 1 is "n k" with 1 <= k <= n. Every later non-blank line holds one
+member: k strictly increasing integers in 1..n separated by whitespace. An
+empty member would be a blank line, so k = 0 has no .fam form. Lines whose
+first non-blank character is '#' are comments. Errors carry 1-based line
+numbers.
 """
 
 from .bitwords import mask_of
@@ -28,8 +30,8 @@ def parse_family(text: str, source: str = "<string>") -> UniformFamily:
                 raise UsageError(f"{source}:{lineno}: header must be two integers") from None
             if not 1 <= n <= 63:
                 raise UsageError(f"{source}:{lineno}: n={n} outside 1..63")
-            if not 0 <= k <= n:
-                raise UsageError(f"{source}:{lineno}: k={k} outside 0..{n}")
+            if not 1 <= k <= n:
+                raise UsageError(f"{source}:{lineno}: k={k} outside 1..{n}")
             continue
         try:
             elems = [int(f) for f in fields]
@@ -54,6 +56,8 @@ def parse_family(text: str, source: str = "<string>") -> UniformFamily:
 
 
 def format_family(fam: UniformFamily, comment: str | None = None) -> str:
+    if fam.k < 1:
+        raise UsageError(f"a .fam file needs k >= 1, got a {fam.k}-uniform family")
     lines = []
     if comment:
         for part in comment.splitlines():
@@ -74,5 +78,6 @@ def load_family(path: str) -> UniformFamily:
 
 
 def dump_family(fam: UniformFamily, path: str, comment: str | None = None):
+    text = format_family(fam, comment)  # refuses k = 0 before the file is created
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_family(fam, comment))
+        fh.write(text)

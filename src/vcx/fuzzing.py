@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bitwords import popcount
 from .certificates import build_assignment, classify_fiber, fiber_size_histogram
 from .constructions import FuzzSeed, random_maximal_vc_family
-from .errors import InvariantViolation, VcxError
+from .errors import InvariantViolation, UsageError, VcxError
 from .families import SubsetWord, UniformFamily
 from .famfile import format_family
 from .pipeline import run_pipeline
@@ -132,10 +132,7 @@ def _fold(summary: CampaignSummary, outcome, artifact_dir):
 
 def dump_failure_artifact(artifact_dir, n, d, seed, error, fam_text):
     """Write the offending family plus a replay manifest next to it."""
-    os.makedirs(artifact_dir, exist_ok=True)
     stem = os.path.join(artifact_dir, f"fail-n{n}-d{d}-seed{seed}")
-    with open(stem + ".fam", "w") as fh:
-        fh.write(fam_text)
     manifest = {
         "n": n,
         "d": d,
@@ -143,9 +140,15 @@ def dump_failure_artifact(artifact_dir, n, d, seed, error, fam_text):
         "error": error,
         "replay": f"vcx fuzz --n {n} --d {d} --count 1 --seed0 {seed}",
     }
-    with open(stem + ".json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(artifact_dir, exist_ok=True)
+        with open(stem + ".fam", "w") as fh:
+            fh.write(fam_text)
+        with open(stem + ".json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write artifacts to {artifact_dir}: {exc}") from None
     return stem
 
 

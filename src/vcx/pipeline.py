@@ -35,7 +35,7 @@ from .traces import (
     expand_index,
     largest_unrealized,
     occupancy_words,
-    size_layer_mask,
+    size_layers,
 )
 
 H0STAR = "H0STAR"
@@ -145,7 +145,7 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     sub = UniformFamily(fam.n, fam.k, keep)
     positions = assign.member_positions()
     occs = occupancy_words(sub.masks, sub.k, [positions[m] for m in sub.masks])
-    layers = [size_layer_mask(sub.k, s) for s in range(sub.k)]
+    layers = size_layers(sub.k)
     cg = {}
     for m, occ in zip(sub.masks, occs):
         best_size, best_index = largest_unrealized(occ, layers) or (None, None)

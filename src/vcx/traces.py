@@ -11,6 +11,8 @@ generator's incremental form, is plain Python: it indexes the members with one
 proper trace left, so most rejections cost a few dict lookups.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .bitwords import popcount, positions_of
@@ -38,10 +40,16 @@ def size_layer_mask(k: int, s: int) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
+def size_layers(k: int) -> tuple[int, ...]:
+    """size_layer_mask(k, s) for every s < k, built once per k."""
+    return tuple(size_layer_mask(k, s) for s in range(k))
+
+
 def largest_unrealized(occ: int, layers) -> tuple[int, int] | None:
     """(size, compressed index) of the largest unrealized proper trace, the
-    canonically least of its size; layers[s] = size_layer_mask(k, s) for s < k.
-    None when every proper trace is realized."""
+    canonically least of its size; layers = size_layers(k). None when every
+    proper trace is realized."""
     for size in range(len(layers) - 1, -1, -1):
         free = layers[size] & ~occ
         if free:

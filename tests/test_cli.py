@@ -1,21 +1,35 @@
+import itertools
 import json
+import math
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import vcx
+from vcx import cli, fuzzing
+from vcx.certificates import MAX_MEMBER_PAIRS
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
+from vcx.errors import InvariantViolation
 from vcx.famfile import format_family, load_family
 from vcx.fuzzing import dump_failure_artifact
 
 
+# the package's own source directory, absolute, so that cwd= may point anywhere
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcx.__file__)))
+
+
 def run_cli(*args, cwd=None, timeout=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "vcx", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=timeout,
     )
     return proc
@@ -48,6 +62,28 @@ def test_gen_vc_round_trip(tmp_path):
     assert payload["vc"] == 2
     assert payload["frankl_pach"] == 10
     assert payload["manifest"]["input_digest"] is not None
+
+
+# result digests of every command on one seeded family; a refactor of the CLI
+# must leave each of them unchanged
+PINNED_DIGESTS = [
+    ("gen", ["--kind", "random", "--n", "10", "--d", "2", "--seed", "3", "--out", "f.fam"],
+     "4937707bd04532c4"),
+    ("vc", ["--input", "f.fam"], "56d79e331334ac17"),
+    ("shadow", ["--input", "f.fam", "--r", "2", "--complement"], "2f6d2b486e0c5979"),
+    ("certify", ["--input", "f.fam", "--d", "2"], "f021deef1f0aa2b2"),
+    ("sunflower", ["--input", "f.fam", "--p", "3"], "51c2425b5fa397b4"),
+    ("pipeline", ["--input", "f.fam", "--d", "2"], "c538eea96417d974"),
+    ("search", ["--n", "6", "--d", "2"], "a71a7ce83ee9e58d"),
+    ("fuzz", ["--n", "8", "--d", "2", "--count", "5"], "404e1c7955b80875"),
+]
+
+
+def test_result_digests_are_pinned(tmp_path):
+    # gen's payload holds its --out string, so every command runs in tmp_path
+    for cmd, extra, digest in PINNED_DIGESTS:
+        payload = run_json(cmd, *extra, cwd=tmp_path)
+        assert payload["manifest"]["result_digest"] == digest, cmd
 
 
 def test_gen_random_is_seed_deterministic(tmp_path):
@@ -260,6 +296,69 @@ def test_wide_member_cost_guards_refuse_before_listing(tmp_path, cmd, k, d, word
     proc = run_cli(cmd, "--input", str(fam), "--d", str(d), timeout=10)
     assert_usage_error(proc, word, "limit")
     assert time.monotonic() - t0 < 1.0
+
+
+def test_certify_refuses_families_over_the_member_pair_limit(tmp_path):
+    # one member more than the limit allows; its |F| x |F| occupancy is never built
+    size = math.isqrt(MAX_MEMBER_PAIRS) + 1
+    fam = tmp_path / "big.fam"
+    members = itertools.islice(itertools.combinations(range(1, 32), 3), size)
+    fam.write_text("31 3\n" + "".join(" ".join(map(str, m)) + "\n" for m in members))
+    t0 = time.monotonic()
+    proc = run_cli("certify", "--input", str(fam), "--d", "2", timeout=10)
+    assert_usage_error(proc, f"{size}^2 member pairs", "limit")
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_certify_shattered_member_is_bad_input(tmp_path):
+    full = tmp_path / "full.fam"
+    run_cli("gen", "--kind", "complete", "--n", "6", "--d", "2", "--out", str(full))
+    proc = run_cli("certify", "--input", str(full), "--d", "2")
+    assert proc.returncode == 1
+    assert "is shattered" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.fixture
+def failing_checks(monkeypatch):
+    """Every check_family call of a fuzz campaign raises InvariantViolation."""
+
+    def broken(fam, d, seed=-1):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(fuzzing, "check_family", broken)
+
+
+def test_fuzz_failure_exits_2_and_dumps_artifacts(tmp_path, failing_checks, capsys):
+    dumps = tmp_path / "dumps"
+    argv = ["fuzz", "--n", "6", "--d", "2", "--count", "2", "--artifacts", str(dumps), "--json"]
+    assert cli.main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passes"] == 0
+    assert payload["failures"] == [[0, "InvariantViolation: planted"],
+                                   [1, "InvariantViolation: planted"]]
+    for seed in (0, 1):
+        stem = dumps / f"fail-n6-d2-seed{seed}"
+        fam = random_maximal_vc_family(FuzzSeed(seed, 6, 2))
+        assert load_family(str(stem.with_suffix(".fam"))) == fam
+        assert json.loads(stem.with_suffix(".json").read_text())["seed"] == seed
+
+
+def test_fuzz_unwritable_artifacts_are_a_usage_error(tmp_path, failing_checks, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = ["fuzz", "--n", "6", "--d", "2", "--count", "1", "--artifacts", str(blocker)]
+    assert cli.main(argv) == 1
+    assert "usage error: cannot write artifacts" in capsys.readouterr().err
+
+
+def test_k_zero_families_are_usage_errors(tmp_path):
+    # the empty member has no line in a .fam file, so k = 0 is refused both ways
+    out = tmp_path / "empty.fam"
+    proc = run_cli("gen", "--kind", "complete", "--n", "4", "--d", "-1", "--out", str(out))
+    assert_usage_error(proc, "k >= 1")
+    assert not out.exists()
+    out.write_text("4 0\n")
+    assert_usage_error(run_cli("vc", "--input", str(out)), "outside 1..4")
 
 
 def test_version_and_help():

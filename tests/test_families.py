@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_vc
 from vcx import families
@@ -193,6 +195,35 @@ def test_format_parse_round_trip_seeded():
         back = parse_family(format_family(fam))
         assert back.n == fam.n and back.k == fam.k
         assert back.masks == fam.masks, f"seed {seed}"
+
+
+# text near the format: digits, signs, whitespace, Unicode line breaks, '#'
+# and an Arabic-Indic digit, which int() accepts
+FAM_TEXT = st.text(st.sampled_from(list("0123456789 \t\n\r#-+_x.\x0b\x85\u2028\u0663")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(), FAM_TEXT, FAM_TEXT.map(lambda t: "6 3\n" + t)))
+def test_parse_accepts_or_raises_usage_error(text):
+    try:
+        fam = parse_family(text)
+    except UsageError:
+        return
+    assert isinstance(fam, UniformFamily)
+
+
+@st.composite
+def drawn_families(draw):
+    n = draw(st.integers(1, 63))
+    k = draw(st.integers(1, min(n, 6)))
+    member = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    return UniformFamily.from_element_lists(n, k, draw(st.lists(member, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=drawn_families())
+def test_format_parse_round_trip_property(fam):
+    assert parse_family(format_family(fam)) == fam
 
 
 def _spy_on_scans(monkeypatch):
