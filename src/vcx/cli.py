@@ -9,7 +9,10 @@ the run, and prints either the lines or the payload with its run manifest
 --replay alone bypasses it: it prints one line and writes no manifest.
 
 Exit codes: 0 success, 1 usage error, 2 invariant violation, 3 budget
-exhausted before the target was reached. All JSON output is deterministic
+exhausted before the target was reached, 141 (128 + SIGPIPE, as a shell
+reports a process killed by a broken pipe) when the reader closed standard
+output early, as `vcx shadow ... | head -1` does; the rest of the output is
+dropped without a traceback. All JSON output is deterministic
 for fixed inputs and seeds; wall-time and node-count fields are the only
 ones allowed to vary between reruns and they are excluded from the result
 digest recorded in the manifest.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -60,6 +64,8 @@ from .search import (
     search_bracket,
 )
 from .sunflower import find_sunflower, sunflower_threshold, validate_sunflower
+
+EXIT_BROKEN_PIPE = 141
 
 # Fields that may legitimately differ between two runs with identical inputs.
 VOLATILE_FIELDS = frozenset({"wall_time_ms", "wall_ms", "nodes"})
@@ -493,8 +499,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.cmd == "fuzz" and args.replay is not None:
-            return _replay(args)
-        return run_command(args, argv)
+            code = _replay(args)
+        else:
+            code = run_command(args, argv)
+        sys.stdout.flush()  # a closed pipe raises here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the recipe of the Python docs (signal module, "Note on SIGPIPE"):
+        # point stdout at devnull so that the final flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"vcx: usage error: {exc}", file=sys.stderr)
         return 1

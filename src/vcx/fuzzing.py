@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bitwords import popcount
@@ -170,6 +169,10 @@ def fuzz_campaign(
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)
     if threads > 1:
+        # imported here, so that a process that never starts a pool never
+        # loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = pool.map(_run_one, seeds, [n] * count, [d] * count, chunksize=64)
             for outcome in outcomes:

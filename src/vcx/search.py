@@ -13,7 +13,7 @@ candidate that would kill someone at a node does so in every descendant and is
 dropped for good. The bound is therefore size + |live|, capped at C(n,d).
 Dropping dead candidates and pruning on that bound cut only subtrees that
 cannot beat the incumbent, so results and witnesses match a plain index walk;
-only node counts shrink.
+only node counts shrink. The deletion bound below caps it further.
 
 Lex-leader cuts (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking
 predicates for search problems", KR 1996) under the n-1 adjacent
@@ -39,7 +39,29 @@ smaller end is not a member. Packed, each transposition is the slot-low mask of
 its smaller ends c plus its moved pairs grouped by index offset
 delta = tau(c) - c, as (delta * 2^k, slot mask) pairs (one to three groups on
 (7,2) and (8,2)), so the member bits of the images land at slot c with one
-shift and one AND per group.
+shift and one AND per group. An include child differs from its parent only by
+the head h, and a transposition that fixes h has none of its moved pairs at h,
+so its walk is the parent's, which passed; the child checks only the
+transpositions that move h (moving[h]). A task root checks all of them.
+
+Deletion bound (exact and order modes). The members that avoid an element x
+form a family on the other n-1 points that meets the same predicate, since
+dropping members only drops traces, so there are at most opt = opt(n-1, d) of
+them, in the same mode and order. Every family below a node therefore has at
+most |(members | live) through x| + opt members, for each x, and the node is
+cut when that is at most best for some x. Each member avoids n-k elements, so
+summing over x gives (n-k) |F| <= n * opt: the root is capped at
+n * opt // (n-k). Like size + |live|, this bounds every family below the node,
+so the argument above covers it: no node on the witness's path is cut before
+best reaches the witness's size, and results and witnesses stay those of the
+uncut search. Settling an include child can drop candidates through any
+element, so all n counts are checked there; an exclude step drops only the
+head, so only the counts of its k elements are. opt comes from _optimum, a
+nested serial search on [n-1] settled once per process. Runs with max_nodes
+or timeout go without the bound, so a budget counts the nodes it always
+counted and no nested search runs outside it. Witness runs go without it too:
+the nested exact search on [n-1] costs more than the witness, 84,651 nodes
+against 7,812 at (8,2).
 
 Packed state: with k = d+1, candidate j owns slot j, bits [j*2^k, (j+1)*2^k),
 of one int `occ` that holds its occupancy word against the current members
@@ -62,7 +84,6 @@ Three modes share the engine and differ only in the required trace layer:
 """
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -131,8 +152,11 @@ class _Budget(Exception):
 
 @lru_cache(maxsize=4)
 def _tables(n: int, d: int):
-    """(cands, onto, seen, swaps) for the packed engine; see the module
-    docstring."""
+    """(cands, onto, seen, swaps, moving, through, through_of) for the packed
+    engine; see the module docstring. moving[j] holds the swaps of the
+    transpositions that move cands[j], through[x] the slot-low mask of the
+    candidates through element x+1, and through_of[j] the through masks of the
+    elements of cands[j]."""
     k = d + 1
     cands = tuple(k_subset_masks(n, k))
     # index_on[h][t]: compressed index of trace t on cands[h]
@@ -150,7 +174,7 @@ def _tables(n: int, d: int):
         onto.append(int.from_bytes(o, "little"))
         seen.append(int.from_bytes(s, "little"))
     index = {c: j for j, c in enumerate(cands)}
-    swaps = []
+    swaps, moved = [], []
     for e in range(n - 1):  # the transposition of elements e+1 and e+2
         pair = 3 << e
         ends, groups = 0, {}
@@ -161,15 +185,25 @@ def _tables(n: int, d: int):
                 ends |= 1 << (c << k)
         if ends:
             swaps.append((ends, tuple(groups.items())))
-    return cands, onto, seen, tuple(swaps)
+            moved.append(pair)
+    moving = tuple(
+        tuple(sw for sw, pair in zip(swaps, moved) if m & pair not in (0, pair)) for m in cands
+    )
+    through = tuple(
+        sum(1 << (j << k) for j, m in enumerate(cands) if m >> x & 1) for x in range(n)
+    )
+    through_of = tuple(tuple(through[x] for x in positions_of(m)) for m in cands)
+    return cands, onto, seen, tuple(swaps), moving, through, through_of
 
 
 class _Engine:
     """One sequential branch-and-bound run of the whole tree or of a subtree task."""
 
-    def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None):
+    def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None,
+                 opt=None):
         self.k = k = d + 1
-        self.cands, self.onto, self.seen, self.swaps = _tables(n, d)
+        (self.cands, self.onto, self.seen, self.swaps, self.moving, self.through,
+         self.through_of) = _tables(n, d)
         self.slot = (1 << (1 << k)) - 1
         self.low = ((1 << (len(self.cands) << k)) - 1) // self.slot
         self.req = required_mask * self.low
@@ -179,6 +213,10 @@ class _Engine:
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.fp_cap = comb(n, d)
+        # opt(n-1, d) for the deletion bound; without one, a value no best reaches
+        self.opt = len(self.cands) + 1 if opt is None else opt
+        if opt is not None:
+            self.fp_cap = min(self.fp_cap, n * opt // (n - k))
         self.nodes = 0
         self.halt = None  # (members, live) of the node that ran out of max_nodes
 
@@ -190,7 +228,8 @@ class _Engine:
         self.stopped = stop_at is not None and seed_best >= stop_at
         try:
             if not self.stopped:
-                self._dfs(*self.state(start_index, member_indices), len(member_indices))
+                self._dfs(*self.state(start_index, member_indices), len(member_indices),
+                          self.swaps)
             self.exhausted = not self.stopped
         except _Budget:
             self.exhausted = False
@@ -235,12 +274,13 @@ class _Engine:
         return self._settle(occ | self.onto[head.bit_length() - 1 >> self.k],
                             members | head, crit, live ^ head)
 
-    def _dominated(self, members):
-        """Whether some transposition maps every family below this node to a
-        lex-greater one (see the module docstring). At slot c, the smaller end
-        of a moved pair, pm holds the member bit of tau(c), and the lowest bit
-        of e is the first pair whose ends differ in membership."""
-        for ends, groups in self.swaps:
+    def _dominated(self, members, swaps=None):
+        """Whether some transposition of swaps (default: all of them) maps
+        every family below this node to a lex-greater one (see the module
+        docstring). At slot c, the smaller end of a moved pair, pm holds the
+        member bit of tau(c), and the lowest bit of e is the first pair whose
+        ends differ in membership."""
+        for ends, groups in self.swaps if swaps is None else swaps:
             pm = 0
             for shift, mask in groups:
                 pm |= members >> shift & mask
@@ -279,8 +319,14 @@ class _Engine:
         walk(*self.state(1, [0]))
         return frontier
 
-    def _dfs(self, occ, members, crit, live, size):
-        fresh = True  # members, and so the lex cut, stay fixed along the exclude loop
+    def _dfs(self, occ, members, crit, live, size, swaps):
+        """The subtree of a node, with swaps the transpositions its lex check
+        needs: all of them at a task root, those that move the head at an
+        include child. Members, and so the lex cut, stay fixed along the
+        exclude loop, and an exclude step changes the deletion bound's counts
+        only at the elements of the dropped head."""
+        fresh = True
+        through = self.through
         while True:
             self.nodes += 1
             if self.max_nodes is not None and self.nodes > self.max_nodes:
@@ -294,16 +340,26 @@ class _Engine:
             bound = size + live.bit_count()
             if bound > self.fp_cap:
                 bound = self.fp_cap
-            if bound <= self.best or fresh and self._dominated(members):
+            if bound <= self.best or fresh and self._dominated(members, swaps):
                 return
             fresh = False
             if not live:
                 self._record(size, members)
                 return
-            self._dfs(*self._include_head(occ, members, crit, live), size + 1)
+            slack = self.best - self.opt
+            if slack >= 0:
+                ml = members | live
+                for t in through:
+                    if (ml & t).bit_count() <= slack:
+                        return
+            head = live & -live
+            j = head.bit_length() - 1 >> self.k
+            self._dfs(*self._settle(occ | self.onto[j], members | head, crit, live ^ head),
+                      size + 1, self.moving[j])
             if self.stopped:
                 return
-            live &= live - 1  # the exclude branch drops the head
+            live ^= head  # the exclude branch drops the head
+            through = self.through_of[j]
 
     def _record(self, size, members):
         if size > self.best:
@@ -311,6 +367,25 @@ class _Engine:
             self.witness = tuple(self.cands[i] for i in self.indices(members))
             if self.stop_at is not None and self.best >= self.stop_at:
                 self.stopped = True
+
+
+_OPTIMA = {}  # (n, d, required mask) -> settled maximum, kept for the process's life
+
+
+def _optimum(n: int, d: int, req: int):
+    """The maximum of the exact or order search on [n] with required trace
+    layer req, None when [n] holds no (d+1)-set: opt(n, d) of the deletion
+    bound on [n+1]. A nested serial run without a budget settles it once per
+    process; its nodes count toward no caller's. It runs before the caller
+    builds its own tables, so the nested chain cannot evict them."""
+    if n <= d:
+        return None
+    key = n, d, req
+    if key not in _OPTIMA:
+        eng = _Engine(n, d, req, opt=_optimum(n - 1, d, req))
+        eng.run(1, [0], 0)
+        _OPTIMA[key] = eng.best
+    return _OPTIMA[key]
 
 
 def _required_mask(k: int, mode: str, s: int | None) -> int:
@@ -379,15 +454,19 @@ def _search(
         seed_best, seed_witness = len(star), star.masks
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
+    # the deletion bound; budgeted and witness runs go without (module docstring)
+    unbudgeted = max_nodes is None and timeout is None
+    opt = _optimum(n - 1, d, req) if unbudgeted and mode != MODE_WITNESS else None
     probe = threads > 1 and max_nodes is None
-    eng = _Engine(n, d, req, max_nodes=_PROBE if probe else max_nodes, deadline=deadline)
+    eng = _Engine(n, d, req, max_nodes=_PROBE if probe else max_nodes, deadline=deadline,
+                  opt=opt)
     eng.run(1, [0], seed_best, seed_witness, stop_at)
     best, witness, nodes, exhausted = eng.best, eng.witness, eng.nodes, eng.exhausted
     # a halt node means the probe ran out of its own budget, not of time
     pooled = probe and eng.halt is not None and (deadline is None or time.monotonic() < deadline)
     if pooled:
         best, witness, task_nodes, exhausted = _search_parallel(
-            n, d, req, best, witness, eng.halt, stop_at, deadline, threads
+            n, d, req, opt, best, witness, eng.halt, stop_at, deadline, threads
         )
         nodes += task_nodes
     _verify_witness(n, d, mode, s, witness)
@@ -411,14 +490,14 @@ _SPLIT_DEPTH = 9
 
 
 def _subtree_worker(payload):
-    (n, d, req, start_index, members, seed_best, stop_at, remaining_time) = payload
+    (n, d, req, opt, start_index, members, seed_best, stop_at, remaining_time) = payload
     deadline = time.monotonic() + remaining_time if remaining_time is not None else None
-    eng = _Engine(n, d, req, deadline=deadline)
+    eng = _Engine(n, d, req, deadline=deadline, opt=opt)
     eng.run(start_index, members, seed_best, stop_at=stop_at)
     return eng.best, eng.witness, eng.nodes, eng.exhausted
 
 
-def _search_parallel(n, d, req, seed_best, seed_witness, halt, stop_at, deadline, threads):
+def _search_parallel(n, d, req, opt, seed_best, seed_witness, halt, stop_at, deadline, threads):
     """Run the frontier subtrees the serial probe has not finished on a pool,
     at most 2*threads in flight.
 
@@ -435,6 +514,10 @@ def _search_parallel(n, d, req, seed_best, seed_witness, halt, stop_at, deadline
     seeded below that size and finds the family the serial run finds; earlier
     tasks report less and later ones cannot displace it. After a task reaches
     stop_at, nothing more is dispatched and later tasks are not counted."""
+    # imported here, so that a process that never starts a pool never loads
+    # multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     frontier = _Engine(n, d, req).collect_frontier(_SPLIT_DEPTH, halt)  # fills _tables pre-fork
     results = [None] * len(frontier)
     reached = len(frontier)  # first frontier position whose task reached stop_at
@@ -457,7 +540,7 @@ def _search_parallel(n, d, req, seed_best, seed_witness, halt, stop_at, deadline
             if reached < len(frontier):
                 break
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            payload = (n, d, req, start, members, top, stop_at, remaining)
+            payload = (n, d, req, opt, start, members, top, stop_at, remaining)
             pending[pool.submit(_subtree_worker, payload)] = pos
         while any(pos < reached for pos in pending.values()):
             collect()

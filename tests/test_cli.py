@@ -21,15 +21,18 @@ from vcx.fuzzing import dump_failure_artifact
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcx.__file__)))
 
 
-def run_cli(*args, cwd=None, timeout=None):
+def _cli_env():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli(*args, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "vcx", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=_cli_env(),
         timeout=timeout,
     )
     return proc
@@ -266,6 +269,33 @@ def test_flags_a_command_would_ignore_are_refused(args):
 def test_search_cost_guard_refuses_huge_instance():
     # C(63,31) candidates: refused before any enumeration starts
     assert_usage_error(run_cli("search", "--n", "63", "--d", "30"), "candidates")
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """A reader that closes the pipe after one line ends the run with exit
+    141 and no traceback; the 27,405 shadow lines overflow the pipe buffer."""
+    fam = tmp_path / "big.fam"
+    masks = [sum(1 << (e - 1) for e in c)
+             for c in itertools.islice(itertools.combinations(range(1, 31), 5), 30_000)]
+    fam.write_text(format_family(vcx.UniformFamily.from_masks(30, 5, masks)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vcx", "shadow", "--input", str(fam), "--r", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stdout.readline().startswith(b"shadow at r=4: 27405 sets")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in stderr, stderr
+
+
+def test_import_loads_numpy_but_not_the_process_pool():
+    """Only a search or campaign that starts a pool loads multiprocessing;
+    the benchmark's import-time metric reads numpy's row of -X importtime."""
+    code = "import sys, vcx; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
+    assert proc.stdout.split() == ["True", "False"], proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
     MAX_CANDIDATES,
+    _OPTIMA,
     _PROBE,
     _Engine,
     certificate_order_max,
@@ -179,12 +180,12 @@ def test_serial_and_parallel_agree(fn, args):
     assert parallel.witness == serial.witness
     if serial.nodes <= _PROBE:  # settled inside the serial probe: no pool
         assert (parallel.nodes, parallel.nodes_exact) == (serial.nodes, True)
-    else:  # exact (7,2), 84,651 serial nodes, reaches the pool
+    else:  # exact (7,2), 84,063 serial nodes, reaches the pool
         assert parallel.nodes_exact is False
         # The probe already holds 16, so every task is seeded with the final
         # best and the count does not depend on task timing; the pool skips
         # the tasks the probe finished.
-        assert parallel.nodes == 88_838
+        assert parallel.nodes == 88_402
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,14 +221,12 @@ def _keeps_certificates(sets, s):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_resume_live_set_matches_from_scratch_check(data):
-    """The live set a subtree task starts from, and the one after including
-    its head: every later candidate, not a member, that can join the members
-    without leaving anyone, itself included, without a certificate."""
+def _draw_task_root(data):
+    """A random subtree task root of (n,2), n = 6 or 7: n, its engine, s (None
+    for exact and witness), the candidates as element sets, start and the
+    members, a feasible set of candidates below start, ascending."""
     n = data.draw(st.sampled_from([6, 7]), label="n")
-    s = data.draw(st.sampled_from([None, 0, 1, 2]), label="s")  # None: exact and witness
+    s = data.draw(st.sampled_from([None, 0, 1, 2]), label="s")
     eng = _Engine(n, 2, proper_trace_mask(3) if s is None else size_layer_mask(3, s))
     sets = [frozenset(e for e in range(1, n + 1) if m >> (e - 1) & 1) for m in eng.cands]
     start = data.draw(st.integers(1, len(sets)), label="start")
@@ -236,7 +235,16 @@ def test_resume_live_set_matches_from_scratch_check(data):
     for i in data.draw(st.permutations(range(start)), label="order"):
         if len(members) < limit and _keeps_certificates([sets[j] for j in members + [i]], s):
             members.append(i)
-    members.sort()
+    return n, eng, s, sets, start, sorted(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_resume_live_set_matches_from_scratch_check(data):
+    """The live set a subtree task starts from, and the one after including
+    its head: every later candidate, not a member, that can join the members
+    without leaving anyone, itself included, without a certificate."""
+    _, eng, s, sets, start, members = _draw_task_root(data)
 
     def expected(start, members):
         fam = [sets[j] for j in members]
@@ -279,17 +287,8 @@ def _lex_cut(n, cands, members, live):
 def test_lex_cut_matches_moved_pair_walk(data):
     """The packed cut at a subtree task's root and at its include child
     agrees with a plain walk of each adjacent transposition's moved pairs."""
-    n = data.draw(st.sampled_from([6, 7]), label="n")
-    s = data.draw(st.sampled_from([None, 0, 1, 2]), label="s")  # None: exact
-    eng = _Engine(n, 2, proper_trace_mask(3) if s is None else size_layer_mask(3, s))
-    sets = [frozenset(e for e in range(1, n + 1) if m >> (e - 1) & 1) for m in eng.cands]
-    start = data.draw(st.integers(1, len(sets)), label="start")
-    limit = data.draw(st.integers(0, 12), label="limit")
-    members = []
-    for i in data.draw(st.permutations(range(start)), label="order"):
-        if len(members) < limit and _keeps_certificates([sets[j] for j in members + [i]], s):
-            members.append(i)
-    state = eng.state(start, sorted(members))
+    n, eng, _, _, start, members = _draw_task_root(data)
+    state = eng.state(start, members)
     children = [state, eng._include_head(*state)] if state[-1] else [state]
     for _, packed_members, _, packed_live in children:
         expected = _lex_cut(
@@ -298,10 +297,51 @@ def test_lex_cut_matches_moved_pair_walk(data):
         assert eng._dominated(packed_members) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_head_only_lex_check_matches_full_check(data):
+    """At the include child of a node that passes every transposition, the
+    transpositions that move the head decide the cut alone. About a quarter
+    of the drawn roots pass and have a head."""
+    _, eng, _, _, start, members = _draw_task_root(data)
+    state = eng.state(start, members)
+    if eng._dominated(state[1]) or not state[-1]:
+        return
+    head = state[-1] & -state[-1]
+    child_members = eng._include_head(*state)[1]
+    moving = eng.moving[head.bit_length() - 1 >> eng.k]
+    assert eng._dominated(child_members, moving) == eng._dominated(child_members)
+
+
 def test_lex_cut_prunes_the_search():
     # without the cut: 10,131 and 50,741 nodes
     assert exact_max(6, 2).nodes < 1000
     assert certificate_order_max(7, 2, 1).nodes < 5000
+
+
+def test_deletion_bound_prunes_the_search():
+    # without the bound: 2,813 nodes; results alone cannot show the bound
+    assert certificate_order_max(7, 2, 2).nodes < 2_813
+
+
+def test_budgeted_and_witness_runs_keep_their_node_counts():
+    """Runs with a budget and witness runs go without the deletion bound; the
+    head-only lex check changes no count."""
+    assert exact_max(7, 2, max_nodes=90_000).nodes == 84_651
+    assert lower_bound_witness(8, 2).nodes == 7_812
+
+
+def test_optimum_table_matches_ilp_oracle():
+    """Every sub-instance optimum the (7,2) searches size their deletion
+    bound with agrees with the ILP oracle."""
+    exact_max(7, 2)
+    for s in range(3):
+        certificate_order_max(7, 2, s)
+    for n in (4, 5, 6):
+        assert _OPTIMA[n, 2, proper_trace_mask(3)] == oracle_ilp_max(n, 2)
+    for n in (5, 6):
+        for s in range(3):
+            assert _OPTIMA[n, 2, size_layer_mask(3, s)] == oracle_ilp_max(n, 2, s)
 
 
 @pytest.mark.parametrize(
