@@ -10,17 +10,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bitwords import bit, elements_of, mask_of, popcount, positions_of
+from .bitwords import bit, elements_of, mask_of, popcount
 from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import SubsetWord, UniformFamily
-from .traces import (
-    compress_trace,
-    expand_index,
-    largest_unrealized,
-    occupancy_words,
-    size_layers,
-)
+from .traces import compress_trace, occupancy_words, size_layers
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
@@ -39,7 +33,7 @@ class CertificateAssignment:
     assigned certificate; strata groups them by certificate size. Lists are
     canonically sorted and dict keys ascend, so equal inputs build equal
     objects. build_assignment keeps each member's occupancy word and bit
-    positions, so that validate and the pipeline need not recompute them.
+    positions, so that validate need not recompute them.
     """
 
     family: UniformFamily
@@ -49,12 +43,6 @@ class CertificateAssignment:
     strata: dict = field(default_factory=dict)
     occupancy: dict | None = field(default=None, compare=False, repr=False)
     positions: dict | None = field(default=None, compare=False, repr=False)
-
-    def member_positions(self) -> dict:
-        """member mask -> positions_of(mask), computed once per assignment."""
-        if self.positions is None:
-            self.positions = {m: positions_of(m) for m in self.family.masks}
-        return self.positions
 
     def certificate_of(self, F: SubsetWord) -> SubsetWord:
         return SubsetWord(self.assigned[F.bits], self.family.n)
@@ -69,10 +57,10 @@ class CertificateAssignment:
         fam = self.family
         if set(self.assigned) != set(fam.masks):
             raise InvariantViolation("assignment domain differs from the family")
-        positions = self.member_positions()
-        occs = self.occupancy or dict(
-            zip(fam.masks, occupancy_words(fam.masks, fam.k, [positions[m] for m in fam.masks]))
-        )
+        occs, positions = self.occupancy, self.positions
+        if occs is None:
+            occ = occupancy_words(fam.masks, fam.k)
+            occs, positions = dict(zip(fam.masks, occ.words)), dict(zip(fam.masks, occ.positions))
         layers = size_layers(fam.k)
         above = [sum(layers[s + 1 :]) for s in range(fam.k)]  # bits of every larger size
         regroup_fibers = {}
@@ -107,10 +95,10 @@ class CertificateAssignment:
 def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     """Assign every member its canonical maximum certificate.
 
-    Runs on the vectorized occupancy words: for each member, take the lowest
-    unrealized compressed index in the largest size layer that has one
-    (ascending index inside a size class is ascending canonical order of the
-    subsets).
+    The certificates come from the one occupancy_words pass: for each member,
+    the lowest unrealized compressed index in the largest size layer that has
+    one (ascending index inside a size class is ascending canonical order of
+    the subsets).
     """
     if fam.k != d + 1:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
@@ -119,18 +107,12 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     if len(fam) ** 2 > MAX_MEMBER_PAIRS:  # occupancy_words compares every pair of members
         raise UsageError(f"{len(fam)}^2 member pairs exceed the limit of {MAX_MEMBER_PAIRS}")
     masks = fam.masks
-    positions = [positions_of(m) for m in masks]
-    occs = occupancy_words(masks, fam.k, positions)
-    layers = size_layers(fam.k)
-    assigned = {}
-    for m, occ, pos in zip(masks, occs, positions):
-        best = largest_unrealized(occ, layers)
-        if best is None:
-            raise MemberShattered(SubsetWord(m, fam.n), d)
-        assigned[m] = expand_index(best[1], pos)
-    assign = assemble_assignment(fam, d, assigned)
-    assign.occupancy = dict(zip(masks, occs))
-    assign.positions = dict(zip(masks, positions))
+    occ = occupancy_words(masks, fam.k)
+    if None in occ.certificates:
+        raise MemberShattered(SubsetWord(masks[occ.certificates.index(None)], fam.n), d)
+    assign = assemble_assignment(fam, d, dict(zip(masks, occ.certificates)))
+    assign.occupancy = dict(zip(masks, occ.words))
+    assign.positions = dict(zip(masks, occ.positions))
     return assign
 
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .bitwords import elements_of, k_subset_masks, mask_of, popcount, shadow_masks
+import numpy as np
+
+from .bitwords import elements_of, k_subset_masks, mask_of, popcount
 from .errors import UsageError
 
 MAX_GROUND_SET = 63
@@ -127,8 +129,19 @@ class UniformFamily:
 
     @cached_property
     def shadow_count(self) -> Counter:
-        """Shadow (k-1)-set mask -> number of members containing it (0 off the shadow)."""
-        return Counter(s for m in self.masks for s in shadow_masks(m))
+        """Shadow (k-1)-set mask -> number of members containing it (0 off the shadow).
+
+        Masks fit int64 (n <= 63), so numpy lists every member with one bit
+        dropped, a row per dropped bit, and Counter counts the list in C.
+        """
+        masks = np.array(self.masks, dtype=np.int64)
+        rest = masks.copy()
+        shadows = np.empty((self.k, len(masks)), dtype=np.int64)
+        for row in shadows:
+            low = rest & -rest
+            rest ^= low
+            np.bitwise_xor(masks, low, out=row)
+        return Counter(shadows.ravel().tolist())
 
     def __len__(self) -> int:
         return len(self.members)

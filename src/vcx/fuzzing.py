@@ -104,6 +104,8 @@ def _run_one(seed: int, n: int, d: int):
     fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
     try:
         return seed, check_family(fam, d, seed=seed), None, None
+    except UsageError:
+        raise  # a limit the arguments break, not a fault of this family
     except (VcxError, AssertionError) as exc:
         return seed, None, f"{type(exc).__name__}: {exc}", format_family(fam)
 
@@ -163,8 +165,12 @@ def fuzz_campaign(
 
     Seeds run seed0..seed0+count-1 and each seed's work is independent, so
     results do not depend on `threads`. Failures are collected rather than
-    raised; callers decide whether a nonempty failure list is fatal.
+    raised; callers decide whether a nonempty failure list is fatal. A d the
+    pipeline cannot check is refused before the first seed, so it is never
+    filed as a failure of every family.
     """
+    if d < 1:
+        raise UsageError(f"fuzz needs d >= 1, got d={d}")
     t0 = time.monotonic()
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)

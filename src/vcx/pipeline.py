@@ -15,7 +15,10 @@ converts to element tuples at the JSON boundary.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .bitwords import bit, k_subset_masks, mask_of, popcount, positions_of, shadow_masks
 from .certificates import (
@@ -30,13 +33,7 @@ from .certificates import (
 from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import UniformFamily
-from .traces import (
-    compress_trace,
-    expand_index,
-    largest_unrealized,
-    occupancy_words,
-    size_layers,
-)
+from .traces import compress_trace, expand_index, occupancy_words
 
 H0STAR = "H0STAR"
 H11 = "H11"
@@ -143,31 +140,29 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
         if popcount(assign.assigned[w.bits]) >= d - 1 and w.bits not in pc.paired
     )
     sub = UniformFamily(fam.n, fam.k, keep)
-    positions = assign.member_positions()
-    occs = occupancy_words(sub.masks, sub.k, [positions[m] for m in sub.masks])
-    layers = size_layers(sub.k)
+    occ = occupancy_words(sub.masks, sub.k)
     cg = {}
-    for m, occ in zip(sub.masks, occs):
-        best_size, best_index = largest_unrealized(occ, layers) or (None, None)
-        if best_size is None or best_size < d - 1:
+    for m, size, cert, word, pos in zip(
+        sub.masks, occ.sizes, occ.certificates, occ.words, occ.positions
+    ):
+        if size == d:
+            cg[m] = cert
+            continue
+        if size is None or size < d - 1:
             raise InvariantViolation(
-                f"member {m:#x} has maximum survivor certificate of size {best_size}, "
+                f"member {m:#x} has maximum survivor certificate of size {size}, "
                 f"expected at least d-1"
             )
-        pos = positions[m]
-        if best_size == d:
-            cg[m] = expand_index(best_index, pos)
-        else:
-            old = assign.assigned[m]
-            if popcount(old) != d - 1:
-                raise InvariantViolation(
-                    f"member {m:#x} lost its size-{popcount(old)} certificate in the survivors"
-                )
-            if occ >> compress_trace(old, pos) & 1:
-                raise InvariantViolation(
-                    f"original certificate of {m:#x} is realized inside the survivors"
-                )
-            cg[m] = old
+        old = assign.assigned[m]
+        if popcount(old) != d - 1:
+            raise InvariantViolation(
+                f"member {m:#x} lost its size-{popcount(old)} certificate in the survivors"
+            )
+        if word >> compress_trace(old, pos) & 1:
+            raise InvariantViolation(
+                f"original certificate of {m:#x} is realized inside the survivors"
+            )
+        cg[m] = old
     assign_g = assemble_assignment(sub, d, cg)
     _check_certificate_zones(assign_g)
     return tuple(sub.masks), assign_g
@@ -204,29 +199,32 @@ def select_anchor_pair(assign_g: CertificateAssignment) -> tuple:
     canonical pair order), loads summed over the two elements.
 
     The complement-shadow load of e counts the d-sets through e outside G's
-    shadow: C(n-1, d-1) minus the shadow sets through e.
+    shadow: C(n-1, d-1) minus the shadow sets through e. So the least summed
+    complement-shadow load is the greatest summed shadow load.
     """
     n, d = assign_g.family.n, assign_g.d
     if n < 2:
         raise UsageError(f"anchor selection needs n >= 2, got {n}")
-    in_shadow = _element_counts(assign_g.family.shadow_count, n)
-    cs_count = [comb(n - 1, d - 1) - c for c in in_shadow]
-    gd1_count = _element_counts(assign_g.strata.get(d - 1, ()), n)
-    pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return min(
-        (cs_count[i] + cs_count[j], gd1_count[i] + gd1_count[j], (i, j)) for i, j in pairs
-    )[2]
+    stratum = assign_g.strata.get(d - 1, ())
+    # one load per element: the stratum load stays below the weight, so the
+    # pair sums order by shadow load first
+    weight = 2 * len(stratum) + 1
+    load = _element_counts(stratum, n) - _element_counts(assign_g.family.shadow_count, n) * weight
+    i, j = _pairs(n)
+    best = int((load[i] + load[j]).argmin())  # the first minimum is the canonically least pair
+    return int(i[best]) + 1, int(j[best]) + 1
 
 
-def _element_counts(masks, n: int) -> list[int]:
-    """count[e] = how many of the masks contain element e, for e in 1..n."""
-    count = [0] * (n + 1)
-    for m in masks:
-        while m:
-            low = m & -m
-            count[low.bit_length()] += 1
-            m ^= low
-    return count
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """Every pair i < j of positions 0..n-1, in canonical order."""
+    return np.triu_indices(n, 1)
+
+
+def _element_counts(masks, n: int) -> np.ndarray:
+    """count[e - 1] = how many of the masks contain element e, for e in 1..n."""
+    arr = np.fromiter(masks, dtype=np.int64, count=len(masks))
+    return ((arr[:, None] >> np.arange(n, dtype=np.int64)) & 1).sum(axis=0)
 
 
 def partition_family(

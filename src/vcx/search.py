@@ -401,7 +401,7 @@ def _verify_witness(n: int, d: int, mode: str, s: int | None, witness):
         raise InvariantViolation("witness has duplicate members")
     if mode == MODE_ORDER:
         layer = size_layer_mask(d + 1, s)
-        for m, occ in zip(fam.masks, occupancy_words(fam.masks, d + 1)):
+        for m, occ in zip(fam.masks, occupancy_words(fam.masks, d + 1).words):
             if occ & layer == layer:
                 raise InvariantViolation(
                     f"witness member {m:#x} has no certificate of size exactly {s}"

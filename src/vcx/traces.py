@@ -5,21 +5,27 @@ subsets of F; compressing each trace onto F's own bit positions gives an index
 in [0, 2^k), and the set of realized traces becomes a 2^k-bit occupancy word.
 F has a certificate iff some proper-subset bit is still clear.
 
-occupancy_words builds all words in one batch (numpy while a word fits an
-int64) for certificate assignment and the pipeline. TraceTracker, the
-generator's incremental form, is plain Python: it indexes the members with one
-proper trace left, so most rejections cost a few dict lookups.
+occupancy_words is the one certificate kernel for certificate assignment and
+the pipeline: one batch pass (numpy while a word fits 32 bits) gives every
+member its bit positions, its occupancy word and its canonical maximum
+certificate, the least unrealized proper trace of the largest size. Above
+that width the same result comes from plain Python, which is also the
+reference the tests hold the numpy pass to. TraceTracker, the generator's
+incremental form, is plain Python: it indexes the members with one proper
+trace left, so most rejections cost a few dict lookups.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .bitwords import popcount, positions_of
 from .errors import InvariantViolation
 
-# the batch numpy path packs occupancy into int64, so it needs 2^k <= 63 bits
+# the batch numpy path packs occupancy into uint32, so it needs 2^k <= 32 bits
 _NUMPY_MAX_K = 5
+_BIT_INDEX = np.arange(63, dtype=np.int64)
 
 
 def full_trace_bit(k: int) -> int:
@@ -75,40 +81,86 @@ def compress_trace(trace_mask: int, positions) -> int:
     return c
 
 
-def occupancy_words(masks, k: int, positions=None) -> list[int]:
-    """Realized-trace occupancy word for every member, self-trace included.
+class Occupancy(NamedTuple):
+    """occupancy_words' result: one entry per member, in input order.
 
-    positions, when given, holds positions_of(mask) for every mask, in order.
+    certificates holds each member's canonical maximum certificate as a mask
+    (the least unrealized proper trace of the largest size) and sizes its
+    size; both are None for a shattered member, which has no certificate.
     """
+
+    positions: list  # positions_of(mask) per member
+    words: list  # occupancy word per member, self-trace included
+    sizes: list
+    certificates: list
+
+
+def occupancy_words(masks, k: int) -> Occupancy:
+    """Positions, occupancy word and canonical certificate of every member."""
     if len(masks) == 0:
-        return []
-    if k <= _NUMPY_MAX_K:
-        return _occupancy_numpy(masks, k, positions)
-    return _occupancy_python(masks, k, positions)
+        return Occupancy([], [], [], [])
+    if 1 <= k <= _NUMPY_MAX_K:
+        return _occupancy_numpy(masks, k)
+    return _occupancy_python(masks, k)
 
 
-def _occupancy_numpy(masks, k: int, positions=None) -> list[int]:
-    arr = np.asarray(masks, dtype=np.int64)
-    pos = np.array(positions or [positions_of(m) for m in masks], dtype=np.intp)
-    pos = pos.reshape(len(masks), k)
-    # has[p, j]: member j holds bit p. The trace of member j on member i
-    # compresses to the bits has[pos[i, t], j], t < k.
-    has = ((arr >> np.arange(max(masks).bit_length())[:, None]) & 1).astype(np.uint8)
-    comp = np.zeros((len(masks), len(masks)), dtype=np.uint8)
-    for t in range(k):
-        comp |= has[pos[:, t]] << t
-    occ = np.bitwise_or.reduce(np.left_shift(1, comp, dtype=np.int64), axis=1)
-    return [int(x) for x in occ]
+@lru_cache(maxsize=None)
+def _preference(k: int):
+    """The proper traces in canonical preference order (larger first, then
+    lower compressed index) plus a sentinel, with their sizes and the bit
+    shifts that decode an index. The sentinel, bit 63, is clear in every
+    word, so it is the first clear bit of a shattered member."""
+    order = sorted(range((1 << k) - 1), key=lambda c: (-popcount(c), c))
+    sizes = [popcount(c) for c in order]
+    order = np.array(order + [63], dtype=np.int64)
+    return order, np.array(sizes + [-1], dtype=np.int64), np.arange(k, dtype=np.int64)[:, None]
 
 
-def _occupancy_python(masks, k: int, positions=None) -> list[int]:
-    out = []
-    for mask, pos in zip(masks, positions or map(positions_of, masks)):
+def _occupancy_numpy(masks, k: int) -> Occupancy:
+    m = len(masks)
+    order, order_sizes, shifts = _preference(k)
+    arr = np.array(masks, dtype=np.int64)
+    bits = (arr[:, None] >> _BIT_INDEX[: max(masks).bit_length()]).astype(np.uint8)
+    bits &= 1
+    # pos[t, i]: bit position t of member i, ascending in t
+    pos = np.nonzero(bits)[1].reshape(m, k).T.copy()
+    # has[p, j] << t: member j holds bit p, pre-shifted to trace bit t. The
+    # trace of member j on member i compresses to the OR over t of
+    # has[pos[t, i], j] << t.
+    has = bits.T.copy()
+    comp = has[pos[0]]
+    for t in range(1, k):
+        has <<= 1
+        comp |= has[pos[t]]
+    word = comp.astype(np.uint32)
+    np.left_shift(np.uint32(1), word, out=word)
+    occ = np.bitwise_or.reduce(word, axis=1)
+    # rank of each member's first clear bit in preference order
+    rank = ((occ[:, None] >> order) & 1).argmin(axis=1)
+    index = order[rank]
+    cert = ((index >> shifts & 1) << pos).sum(axis=0)
+    sizes = order_sizes[rank].tolist()
+    certs = cert.tolist()
+    if -1 in sizes:
+        for i, size in enumerate(sizes):
+            if size == -1:
+                sizes[i] = certs[i] = None
+    return Occupancy(list(map(tuple, pos.T.tolist())), occ.tolist(), sizes, certs)
+
+
+def _occupancy_python(masks, k: int) -> Occupancy:
+    positions = [positions_of(m) for m in masks]
+    layers = size_layers(k)
+    words, sizes, certs = [], [], []
+    for mask, pos in zip(masks, positions):
         occ = 0
         for other in masks:
             occ |= 1 << compress_trace(other & mask, pos)
-        out.append(occ)
-    return out
+        best = largest_unrealized(occ, layers)
+        words.append(occ)
+        sizes.append(None if best is None else best[0])
+        certs.append(None if best is None else expand_index(best[1], pos))
+    return Occupancy(positions, words, sizes, certs)
 
 
 class TraceTracker:

@@ -52,6 +52,15 @@ def oracle_certificates(F, member_lists):
     return out
 
 
+def oracle_shadow_count(member_lists):
+    """(k-1)-subset, as a sorted element tuple -> number of members containing it."""
+    counts = {}
+    for m in member_lists:
+        for S in combinations(sorted(m), len(m) - 1):
+            counts[S] = counts.get(S, 0) + 1
+    return counts
+
+
 def oracle_max_family(n, d):
     """Max size of a VC <= d family of (d+1)-sets, by full 2^C(n,d+1) scan."""
     cands = list(combinations(range(1, n + 1), d + 1))

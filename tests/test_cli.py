@@ -254,6 +254,14 @@ def test_out_of_range_counts_are_rejected_at_parse_time(args):
     assert_usage_error(run_cli(*args), args[-2])
 
 
+def test_fuzz_d_below_one_is_a_usage_error(tmp_path):
+    # refused before the first seed: no family is filed as failing, nothing is written
+    proc = run_cli("fuzz", "--n", "5", "--d", "0", "--count", "2", cwd=tmp_path)
+    assert_usage_error(proc, "d >= 1")
+    assert "FAIL" not in proc.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -379,6 +387,14 @@ def test_fuzz_unwritable_artifacts_are_a_usage_error(tmp_path, failing_checks, c
     argv = ["fuzz", "--n", "6", "--d", "2", "--count", "1", "--artifacts", str(blocker)]
     assert cli.main(argv) == 1
     assert "usage error: cannot write artifacts" in capsys.readouterr().err
+
+
+def test_fuzz_limit_a_check_refuses_is_not_a_family_failure(tmp_path):
+    # 19-sets over [20] generate fine, but 2^19 traces per member break the
+    # certificate limit on every seed: a usage error, with nothing written
+    proc = run_cli("fuzz", "--n", "20", "--d", "18", "--count", "2", cwd=tmp_path)
+    assert_usage_error(proc, "2^19 traces")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_k_zero_families_are_usage_errors(tmp_path):

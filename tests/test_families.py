@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_vc
+from oracles import oracle_shadow_count, oracle_vc
 from vcx import families
 from vcx.constructions import SplitMix64, star_family
 from vcx.bitwords import k_subset_masks
@@ -129,6 +129,35 @@ def test_complement_shadow_by_hand():
     assert [x.elements() for x in cs.members] == [(3, 4)]
     assert len(complement_shadow(star_family(5, 2))) == 0
     assert len(complement_shadow(UniformFamily(4, 3, ()))) == comb(4, 2)
+
+
+def test_shadow_count_matches_the_oracle():
+    rng = SplitMix64(63)
+    elements = list(range(1, 63))
+    wide = []
+    for i in range(40):  # 4-subsets of [63], every other one through element 63
+        rng.shuffle(elements)
+        wide.append(elements[:3] + [63 if i % 2 else elements[3]])
+    cases = [seeded_family(seed) for seed in range(40)] + [
+        UniformFamily(5, 3, ()),
+        UniformFamily.from_element_lists(63, 4, wide),
+        UniformFamily.from_element_lists(63, 1, [[1], [63]]),
+    ]
+    for fam in cases:
+        lists = [m.elements() for m in fam.members]
+        want = oracle_shadow_count(lists)
+        got = {
+            tuple(e for e in range(1, fam.n + 1) if s >> (e - 1) & 1): c
+            for s, c in fam.shadow_count.items()
+        }
+        assert got == want, (fam.n, fam.k, lists)
+        # a (k-1)-set below no member counts 0
+        missing = next(
+            (s for s in k_subset_masks(fam.n, max(fam.k - 1, 0)) if s not in fam.shadow_count),
+            None,
+        )
+        if missing is not None:
+            assert fam.shadow_count[missing] == 0
 
 
 def test_shadow_partition_property():

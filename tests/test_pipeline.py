@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -199,6 +200,35 @@ def test_check_family_sweep_small():
         check = check_family(random_maximal_vc_family(FuzzSeed(seed, 9, 3)), 3, seed)
         assert check.max_column <= 2
         assert check.audit_slack >= 0
+
+
+def _reference_anchor_pair(assign_g):
+    """The anchor rule read literally, on element tuples: the least
+    (complement-shadow load, (d-1)-stratum load, (i, j))."""
+    n, d = assign_g.family.n, assign_g.d
+    members = [set(w.elements()) for w in assign_g.family.members]
+    shadow = {frozenset(S) for m in members for S in combinations(sorted(m), d)}
+    stratum = [set(SubsetWord(m, n).elements()) for m in assign_g.strata.get(d - 1, ())]
+
+    def loads(e):
+        d_sets = [frozenset(S) for S in combinations(range(1, n + 1), d) if e in S]
+        return sum(1 for S in d_sets if S not in shadow), sum(1 for m in stratum if e in m)
+
+    per = {e: loads(e) for e in range(1, n + 1)}
+    return min(
+        (per[i][0] + per[j][0], per[i][1] + per[j][1], (i, j))
+        for i, j in combinations(range(1, n + 1), 2)
+    )[2]
+
+
+def test_anchor_pair_matches_the_reference_rule():
+    for n, d, seeds in [(8, 2, range(12)), (12, 2, range(4)), (9, 3, range(8))]:
+        for seed in seeds:
+            report = partition_family(random_maximal_vc_family(FuzzSeed(seed, n, d)), d)
+            assert report.anchors == _reference_anchor_pair(report.assign_g), (n, d, seed)
+    # ties everywhere: the star's survivors leave every pair equally loaded
+    report = partition_family(star_family(6, 2), 2)
+    assert report.anchors == _reference_anchor_pair(report.assign_g) == (1, 2)
 
 
 def test_class_certificate_invariants_seeded():

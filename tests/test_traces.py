@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcx.bitwords import k_subset_masks, positions_of
+from vcx import traces
+from vcx.bitwords import elements_of, k_subset_masks, positions_of
 from vcx.constructions import SplitMix64
 from vcx.traces import (
     TraceTracker,
@@ -15,7 +16,7 @@ from vcx.traces import (
     size_layer_mask,
 )
 
-from oracles import oracle_vc_le
+from oracles import mask_from, oracle_certificates, oracle_vc_le
 
 
 def test_trace_index_masks():
@@ -41,22 +42,82 @@ def test_compress_expand_round_trip():
         assert compress_trace(t, pos) == c
 
 
-def test_occupancy_paths_agree():
+def _random_member(rng, n, k, must=None):
+    """A k-subset of [n] as a mask, holding bit `must` when given."""
+    bits = list(range(n))
+    rng.shuffle(bits)
+    if must is not None:
+        bits.remove(must)
+        bits.insert(0, must)
+    return sum(1 << b for b in bits[:k])
+
+
+def _shattered_family(k):
+    """{1..k} plus, for each proper subset T of it, T padded with elements
+    k+1, k+2, ...: every proper trace on {1..k} is realized, so it is shattered."""
+    full = (1 << k) - 1
+    pads = [((1 << (k - t.bit_count())) - 1) << k for t in range(full)]
+    return sorted([full] + [t | pad for t, pad in zip(range(full), pads)])
+
+
+def _agreement_cases():
     rng = SplitMix64(7)
-    for _ in range(30):
-        n = 4 + rng.below(8)
-        k = 1 + rng.below(min(5, n))
-        pool = list(k_subset_masks(n, k))
-        rng.shuffle(pool)
-        masks = sorted(pool[: 1 + rng.below(min(len(pool), 30))])
-        assert _occupancy_numpy(masks, k) == _occupancy_python(masks, k), (n, k)
+    for k in range(1, 6):
+        for _ in range(8):
+            n = k + 1 + rng.below(10)
+            pool = list(k_subset_masks(n, k))
+            rng.shuffle(pool)
+            yield k, sorted(pool[: 1 + rng.below(min(len(pool), 40))])
+        # members on bit 62 of a 63-point ground set, one member alone, a shattered member
+        yield k, sorted({_random_member(rng, 63, k, must=62 if i % 2 else None) for i in range(12)})
+        yield k, [_random_member(rng, 63, k, must=62)]
+        yield k, _shattered_family(k)
+
+
+def test_occupancy_paths_agree():
+    """The numpy pass and the plain-Python reference agree on positions,
+    words and the canonical certificate (with its size) for k = 1..5."""
+    shattered = 0
+    for k, masks in _agreement_cases():
+        fast = _occupancy_numpy(masks, k)
+        assert fast == _occupancy_python(masks, k), (k, masks)
+        assert fast.positions == [positions_of(m) for m in masks]
+        shattered += fast.certificates.count(None)
+    assert shattered >= 5  # each k's shattered family has one shattered member
+
+
+def test_occupancy_certificates_match_the_oracle():
+    """The canonical pick is the least (in colex order) of the largest
+    certificates that the brute-force oracle lists."""
+    for k, masks in _agreement_cases():
+        occ = occupancy_words(masks, k)
+        lists = [elements_of(m) for m in masks]
+        for m, size, cert in zip(masks, occ.sizes, occ.certificates):
+            certs = oracle_certificates(elements_of(m), lists)
+            if not certs:
+                assert size is cert is None
+                continue
+            top = max(len(c) for c in certs)
+            assert size == top
+            assert cert == min(mask_from(c) for c in certs if len(c) == top)
+
+
+def test_occupancy_above_five_takes_the_python_path(monkeypatch):
+    def refuse(masks, k):
+        raise AssertionError("numpy path used for k > 5")
+
+    rng = SplitMix64(3)
+    masks = sorted({_random_member(rng, 12, 6) for _ in range(10)})
+    want = _occupancy_python(masks, 6)
+    monkeypatch.setattr(traces, "_occupancy_numpy", refuse)
+    assert occupancy_words(masks, 6) == want
 
 
 def test_occupancy_semantics_by_hand():
     # fam = {123, 124} over [4]: traces of 124 on 123 are {12}; occupancy of
     # member 123 has bits for {1,2} (from 124) and {1,2,3} (itself).
     masks = [0b0111, 0b1011]
-    occ = occupancy_words(masks, 3)
+    occ = occupancy_words(masks, 3).words
     pos = positions_of(0b0111)
     realized = {i for i in range(8) if occ[0] >> i & 1}
     want = {compress_trace(0b0011, pos), compress_trace(0b0111, pos)}
@@ -112,7 +173,7 @@ def test_tracker_agrees_with_recheck_from_scratch(data):
     tracker = TraceTracker(n, k)
     kept = []
     for cand in order[:30]:
-        occs = occupancy_words(kept + [cand], k)
+        occs = occupancy_words(kept + [cand], k).words
         want = all(occ & proper != proper for occ in occs)
         assert tracker.try_add(cand) == want, f"cand {cand:#x} after {kept}"
         if want:
