@@ -3,7 +3,6 @@
 import argparse
 
 from vcx import (
-    SubsetWord,
     UniformFamily,
     build_assignment,
     classify_fiber,
@@ -11,12 +10,8 @@ from vcx import (
     random_maximal_vc_family,
     vc_dimension,
 )
-from vcx.bitwords import submasks
+from vcx.bitwords import set_text, submasks
 from vcx.constructions import FuzzSeed
-
-
-def show(w):
-    return "{" + ",".join(str(e) for e in w.elements()) + "}"
 
 
 def tour_by_hand():
@@ -26,18 +21,16 @@ def tour_by_hand():
     fam = UniformFamily.from_element_lists(
         n, 3, [(3, 4, 5), (1, 3, 4), (2, 3, 5), (2, 4, 5)]
     )
-    print(f"family over [{n}]:", " ".join(show(w) for w in fam.members))
+    print(f"family over [{n}]:", " ".join(map(set_text, fam)))
     print("vc dimension:", vc_dimension(fam))
     print()
     assign = build_assignment(fam, 2)
-    for F in fam.members:
-        f = F.bits
-        realized = {m & f for m in fam.masks}
-        certs = [SubsetWord(t, n) for t in sorted(submasks(f)) if t != f and t not in realized]
-        top = assign.certificate_of(F)
-        print(f"member {show(F)}")
-        print("  certificates:", " ".join(show(c) for c in certs) or "(none)")
-        print(f"  assigned (largest, then least as an integer): {show(top)}")
+    for f in fam:
+        realized = {m & f for m in fam}
+        certs = [t for t in sorted(submasks(f)) if t != f and t not in realized]
+        print(f"member {set_text(f)}")
+        print("  certificates:", " ".join(map(set_text, certs)) or "(none)")
+        print(f"  assigned (largest, then least as an integer): {set_text(assign.assigned[f])}")
     print()
 
 
@@ -52,15 +45,14 @@ def tour_random(seed, n, d):
 
     # Fibers over size-(d-1) certificates have one of three shapes.
     shapes = {}
-    for t_mask, fiber in sorted(assign.fibers.items()):
-        T = SubsetWord(t_mask, n)
-        if len(T) != d - 1:
+    for t, fiber in sorted(assign.fibers.items()):
+        if t.bit_count() != d - 1:
             continue
-        shape = classify_fiber(T, assign)
+        shape = classify_fiber(t, assign)
         shapes[shape.kind] = shapes.get(shape.kind, 0) + 1
         if len(fiber) > 1:
-            members = " ".join(show(SubsetWord(m, n)) for m in sorted(fiber))
-            print(f"  fiber over {show(T)}: {shape.kind.lower()} on {members}")
+            members = " ".join(map(set_text, sorted(fiber)))
+            print(f"  fiber over {set_text(t)}: {shape.kind.lower()} on {members}")
     print("size-(d-1) fiber shapes:", shapes or "(none)")
 
 

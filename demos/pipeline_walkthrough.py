@@ -15,12 +15,9 @@ six-member star over [5], or pass --seed/--n/--d for a random maximal family.
 import argparse
 from fractions import Fraction
 
-from vcx import SubsetWord, random_maximal_vc_family, run_pipeline, star_family
+from vcx import random_maximal_vc_family, run_pipeline, star_family
+from vcx.bitwords import set_text
 from vcx.constructions import FuzzSeed
-
-
-def show(mask, n):
-    return "{" + ",".join(str(e) for e in SubsetWord(mask, n).elements()) + "}"
 
 
 def walkthrough(fam, d):
@@ -32,29 +29,29 @@ def walkthrough(fam, d):
     pc = report.pair_collection
     print(f"\npair collection: {len(pc.pairs)} pairs, covering {len(pc.paired)} members")
     for a, b in pc.pairs:
-        print(f"  {show(a, n)} with {show(b, n)}")
+        print(f"  {set_text(a)} with {set_text(b)}")
 
     i, j = report.anchors
-    print(f"\nanchor pair (i,j) = ({i},{j}), V = {show(report.v_mask, n)}")
+    print(f"\nanchor pair (i,j) = ({i},{j}), V = {set_text(report.v_mask)}")
     print(f"partition sizes: |F1|={len(report.f1)} |F2|={len(report.f2)} |F3|={len(report.f3)}")
 
     print("\nF3 classes (how c_G and the member meet {i,j}):")
     for m in report.f3:
-        print(f"  {show(m, n)}: {report.classes[m]}")
+        print(f"  {set_text(m)}: {report.classes[m]}")
 
     print(f"\nindex family S ({len(report.index_sets)} sets):")
-    print(" ", " ".join(show(s, n) for s in report.index_sets))
+    print(" ", " ".join(set_text(s) for s in report.index_sets))
 
     print("\nmass map f (2 half-units per F3 member) and injection g:")
     for m in report.f3:
         image = " + ".join(
-            f"{units}/2 at {show(report.index_sets[idx], n)}"
+            f"{units}/2 at {set_text(report.index_sets[idx])}"
             for idx, units in report.fmap[m]
         )
         gcell = ""
         if m in report.gmap:
-            gcell = f"   g -> {show(report.index_sets[report.gmap[m]], n)}"
-        print(f"  {show(m, n)}: {image}{gcell}")
+            gcell = f"   g -> {set_text(report.index_sets[report.gmap[m]])}"
+        print(f"  {set_text(m)}: {image}{gcell}")
     print(f"max column sum: {report.max_column} half-units (cap 2)")
 
     print("\naudit (each line checked exactly):")

@@ -3,7 +3,6 @@ import time
 from math import comb
 
 from vcx import (
-    SubsetWord,
     certificate_order_max,
     exact_max,
     lower_bound_witness,
@@ -11,16 +10,15 @@ from vcx import (
     vc_dimension,
 )
 from vcx import UniformFamily
+from vcx.bitwords import set_text
 
 # Exact extremal numbers at desk scale. For each (n,d) the engine enumerates
 # (d+1)-uniform families with VC dimension at most d, pruning on a running
 # trace tracker, and reports the maximum size with a witness.
 
 
-def fmt(masks, n):
-    return " ".join(
-        "{" + ",".join(map(str, SubsetWord(m, n).elements())) + "}" for m in masks
-    )
+def fmt(masks):
+    return " ".join(map(set_text, masks))
 
 
 def table(rows):
@@ -51,7 +49,7 @@ def main():
     r = exact_max(n, d)
     print(f"\nbracket at (n,d)=({n},{d}): [{lo},{hi}], exact value {r.best}")
     fam = UniformFamily.from_masks(n, d + 1, r.witness)
-    print(f"witness (vc={vc_dimension(fam)}): {fmt(r.witness, n)}")
+    print(f"witness (vc={vc_dimension(fam)}): {fmt(r.witness)}")
 
     # Order-s probe: force every member to carry a certificate of size
     # exactly s and see whether the maximum drops below C(n-1,d).
@@ -66,7 +64,7 @@ def main():
         r = lower_bound_witness(n, 2)
         ms = (time.monotonic() - t0) * 1000
         print(f"\nwitness search at ({n},2), target {r.target}: found size {r.best} in {ms:.0f} ms")
-        print(fmt(r.witness, n))
+        print(fmt(r.witness))
 
 
 if __name__ == "__main__":

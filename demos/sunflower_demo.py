@@ -16,11 +16,7 @@ from vcx import (
     sunflower_threshold,
     validate_sunflower,
 )
-from vcx.bitwords import k_subset_masks
-
-
-def show(w):
-    return "{" + ",".join(str(e) for e in w.elements()) + "}"
+from vcx.bitwords import k_subset_masks, set_text
 
 
 def main():
@@ -40,8 +36,8 @@ def main():
         6, 2, [(1, 2), (3, 4), (5, 6), (1, 3), (2, 4), (1, 5)]
     )
     flower = find_sunflower(fam, 3)
-    print(f"\nsix edges on [6]: core {show(flower.core)}, petals", end=" ")
-    print(" ".join(show(p) for p in flower.petals))
+    print(f"\nsix edges on [6]: core {set_text(flower.core)}, petals", end=" ")
+    print(" ".join(map(set_text, flower.petals)))
     assert validate_sunflower(flower)
 
     # The k=1 boundary: p-1 distinct singletons meet the threshold but can

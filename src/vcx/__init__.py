@@ -23,7 +23,6 @@ from .famfile import dump_family, format_family, load_family, parse_family
 from .fuzzing import CampaignSummary, FamilyCheck, check_family, fuzz_campaign
 from .families import (
     ShadowSet,
-    SubsetWord,
     UniformFamily,
     complement_shadow,
     frankl_pach_bound,
@@ -31,7 +30,6 @@ from .families import (
     sauer_shelah_bound,
     shadow,
     shattered_witness,
-    trace,
     vc_dimension,
 )
 from .pipeline import (

@@ -2,8 +2,7 @@
 
 Element e of the ground set [n] = {1, ..., n} corresponds to bit e-1, so the
 integer value of a word doubles as its canonical sort key (colex order on
-sets). All functions here work on plain ints; the typed wrappers live in
-vcx.families.
+sets). Every layer of the package holds sets as these plain ints.
 """
 
 
@@ -33,8 +32,14 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(p + 1 for p in positions_of(mask))
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+def set_text(mask: int) -> str:
+    """The mask as "{1,2,3}", the set form of messages."""
+    return "{" + ",".join(map(str, elements_of(mask))) + "}"
+
+
+def elements_text(mask: int) -> str:
+    """The mask as "1 2 3", the form of .fam lines, table lines and JSON keys."""
+    return " ".join(map(str, elements_of(mask)))
 
 
 def submasks(mask: int):
@@ -48,19 +53,10 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def shadow_masks(mask: int):
-    """Yield the (|mask|-1)-subsets of `mask`, lowest dropped element first."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        yield mask ^ low
-        rest ^= low
-
-
 def k_subset_masks(n: int, k: int):
     """All k-element subsets of [n] as masks, in canonical (ascending) order.
 
-    Gosper's hack: the next mask with the same popcount in increasing integer
+    Gosper's hack: the next mask with the same bit count in increasing integer
     order. Integer order on masks is colex order on the sets, which is the
     canonical order used everywhere here.
     """

@@ -10,10 +10,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
 
-from .bitwords import bit, elements_of, mask_of, popcount
+from .bitwords import bit, elements_of, mask_of, set_text
 from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
-from .families import SubsetWord, UniformFamily
+from .families import UniformFamily
 from .traces import compress_trace, occupancy_words, size_layers
 
 TRIANGLE = "TRIANGLE"
@@ -43,9 +43,6 @@ class CertificateAssignment:
     strata: dict = field(default_factory=dict)
     occupancy: dict | None = field(default=None, compare=False, repr=False)
     positions: dict | None = field(default=None, compare=False, repr=False)
-
-    def certificate_of(self, F: SubsetWord) -> SubsetWord:
-        return SubsetWord(self.assigned[F.bits], self.family.n)
 
     def validate(self):
         """Re-derive everything and fail loudly on any mismatch.
@@ -109,7 +106,7 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     masks = fam.masks
     occ = occupancy_words(masks, fam.k)
     if None in occ.certificates:
-        raise MemberShattered(SubsetWord(masks[occ.certificates.index(None)], fam.n), d)
+        raise MemberShattered(masks[occ.certificates.index(None)], d)
     assign = assemble_assignment(fam, d, dict(zip(masks, occ.certificates)))
     assign.occupancy = dict(zip(masks, occ.words))
     assign.positions = dict(zip(masks, occ.positions))
@@ -159,16 +156,15 @@ class FiberShape:
     """
 
     kind: str
-    T: SubsetWord
+    T: int
     elements: tuple
-    fiber: tuple
+    fiber: tuple  # member masks, ascending
     side_u: tuple = ()
     side_v: tuple = ()
     leaf_pair: bool = False
 
     def reconstructed_fiber(self) -> tuple:
-        n = self.T.n
-        t = self.T.bits
+        t = self.T
         if self.kind == TRIANGLE:
             x, y, z = self.elements
             raw = [t | mask_of((x, y)), t | mask_of((y, z)), t | mask_of((x, z))]
@@ -178,7 +174,7 @@ class FiberShape:
         else:
             x, y = self.elements
             raw = [t | mask_of((x, y))]
-        return tuple(SubsetWord(r, n) for r in sorted(raw))
+        return tuple(sorted(raw))
 
 
 def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
@@ -190,7 +186,7 @@ def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
     pairs = []
     for m in fiber_masks:
         p = m & ~t_mask
-        if t_mask & ~m or popcount(p) != 2:
+        if t_mask & ~m or p.bit_count() != 2:
             raise InvariantViolation(f"fiber member {m:#x} does not extend {t_mask:#x} by a pair")
         pairs.append(p)
     if len(pairs) == 1:
@@ -198,40 +194,36 @@ def fiber_shape_elements(t_mask: int, fiber_masks) -> tuple:
         return SINGLETON, (x, y)
     if len(pairs) == 2:
         shared = pairs[0] & pairs[1]
-        if popcount(shared) != 1:
+        if shared.bit_count() != 1:
             raise InvariantViolation("2-member fiber must share exactly one element beyond T")
         a = shared.bit_length()
         b, c = sorted(((pairs[0] ^ shared).bit_length(), (pairs[1] ^ shared).bit_length()))
         return CHERRY, (a, b, c)
     if len(pairs) == 3:
         union = pairs[0] | pairs[1] | pairs[2]
-        if popcount(union) != 3 or len({*pairs}) != 3:
+        if union.bit_count() != 3 or len({*pairs}) != 3:
             raise InvariantViolation("3-member fiber must be a triangle on three elements")
         x, y, z = elements_of(union)
         return TRIANGLE, (x, y, z)
     raise InvariantViolation(f"fiber has {len(pairs)} members, only 1..3 are possible")
 
 
-def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
-    """Classify the fiber of a size-(d-1) certificate and validate its ambient
-    superset pattern against the family."""
-    fam = assign.family
-    if len(T) != assign.d - 1:
-        raise UsageError(f"classify_fiber needs |T| = d-1 = {assign.d - 1}, got {len(T)}")
-    t = T.bits
+def classify_fiber(t: int, assign: CertificateAssignment) -> FiberShape:
+    """Classify the fiber of a size-(d-1) certificate t and validate its
+    ambient superset pattern against the family."""
+    if t.bit_count() != assign.d - 1:
+        raise UsageError(f"classify_fiber needs |T| = d-1 = {assign.d - 1}, got {t.bit_count()}")
     fiber = assign.fibers.get(t)
     if fiber is None:
-        raise UsageError(f"{T} is not an assigned certificate")
+        raise UsageError(f"{set_text(t)} is not an assigned certificate")
     kind, elems = fiber_shape_elements(t, fiber)
-    supersets = [m for m in fam.masks if t & ~m == 0]
-    others = [m for m in supersets if m not in set(fiber)]
-    fiber_words = tuple(SubsetWord(m, fam.n) for m in fiber)
+    others = [m for m in assign.family.masks if t & ~m == 0 and m not in fiber]
     if kind == TRIANGLE:
         if others:
             raise InvariantViolation(
-                f"triangle fiber of {T} admits no other supersets, found {len(others)}"
+                f"triangle fiber of {set_text(t)} admits no other supersets, found {len(others)}"
             )
-        return FiberShape(TRIANGLE, T, elems, fiber_words)
+        return FiberShape(TRIANGLE, t, elems, fiber)
     if kind == CHERRY:
         a, b, c = elems
         bc = mask_of((b, c))
@@ -245,9 +237,9 @@ def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
                 side_u.append((p & ~bit(a)).bit_length())
             else:
                 raise InvariantViolation(
-                    f"superset {m:#x} of cherry fiber {T} avoids the shared element {a}"
+                    f"superset {m:#x} of cherry fiber {set_text(t)} avoids the shared element {a}"
                 )
-        return FiberShape(CHERRY, T, elems, fiber_words, tuple(sorted(side_u)), (), leaf_pair)
+        return FiberShape(CHERRY, t, elems, fiber, tuple(sorted(side_u)), (), leaf_pair)
     x, y = elems
     side_u, side_v = [], []
     for m in others:
@@ -258,6 +250,6 @@ def classify_fiber(T: SubsetWord, assign: CertificateAssignment) -> FiberShape:
             side_v.append((p & ~bit(y)).bit_length())
         else:
             raise InvariantViolation(
-                f"superset {m:#x} of singleton fiber {T} avoids both {x} and {y}"
+                f"superset {m:#x} of singleton fiber {set_text(t)} avoids both {x} and {y}"
             )
-    return FiberShape(SINGLETON, T, elems, fiber_words, tuple(sorted(side_u)), tuple(sorted(side_v)))
+    return FiberShape(SINGLETON, t, elems, fiber, tuple(sorted(side_u)), tuple(sorted(side_v)))

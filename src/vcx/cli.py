@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from . import __version__
-from .bitwords import elements_of, popcount
+from .bitwords import elements_of, elements_text
 from .certificates import (
     build_assignment,
     classify_fiber,
@@ -46,7 +46,6 @@ from .constructions import (
 )
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import (
-    SubsetWord,
     UniformFamily,
     complement_shadow,
     frankl_pach_bound,
@@ -91,10 +90,6 @@ def _strip_volatile(value):
 def result_digest(payload: dict) -> str:
     canon = json.dumps(_strip_volatile(payload), sort_keys=True, separators=(",", ":"))
     return f"{fnv1a64(canon.encode()):016x}"
-
-
-def _member_key(mask: int) -> str:
-    return " ".join(str(e) for e in elements_of(mask))
 
 
 def _encode(value):
@@ -262,10 +257,9 @@ def cmd_shadow(args, fam):
         )
     level = fam
     while level.k > args.r + 1:
-        below = (w.bits for w in shadow(level).members)
-        level = UniformFamily.from_masks(fam.n, level.k - 1, below)
+        level = UniformFamily(fam.n, level.k - 1, shadow(level).members)
     sh = complement_shadow(level) if args.complement else shadow(level)
-    members = [elements_of(w.bits) for w in sh.members]
+    members = [elements_of(m) for m in sh.members]
     payload = {
         "n": fam.n,
         "r": args.r,
@@ -275,24 +269,25 @@ def cmd_shadow(args, fam):
     }
     label = "complement shadow" if args.complement else "shadow"
     lines = [f"{label} at r={args.r}: {len(members)} sets"]
-    lines += ["  " + " ".join(str(e) for e in m) for m in members]
+    lines += ["  " + elements_text(m) for m in sh.members]
     return payload, lines, 0
 
 
 def cmd_certify(args, fam):
     assign = build_assignment(fam, args.d)
     hist, biggest = fiber_size_histogram(assign)
-    shapes = []
+    shapes, shape_lines = [], []
     for t in assign.fibers:
-        if popcount(t) != args.d - 1:
+        if t.bit_count() != args.d - 1:
             continue
-        shape = classify_fiber(SubsetWord(t, fam.n), assign)
+        shape = classify_fiber(t, assign)
+        shape_lines.append(f"  fiber of {{{elements_text(t)}}}: {shape.kind}")
         shapes.append(
             {
                 "certificate": elements_of(t),
                 "kind": shape.kind,
                 "elements": list(shape.elements),
-                "fiber": [elements_of(w.bits) for w in shape.fiber],
+                "fiber": [elements_of(m) for m in shape.fiber],
                 "side_u": list(shape.side_u),
                 "side_v": list(shape.side_v),
                 "leaf_pair": shape.leaf_pair,
@@ -302,7 +297,7 @@ def cmd_certify(args, fam):
         "n": fam.n,
         "d": args.d,
         "size": len(fam),
-        "certificates": {_member_key(m): elements_of(c) for m, c in assign.assigned.items()},
+        "certificates": {elements_text(m): elements_of(c) for m, c in assign.assigned.items()},
         "strata": {str(s): len(v) for s, v in assign.strata.items()},
         "fiber_histogram": {str(s): c for s, c in hist.items()},
         "max_fiber": biggest,
@@ -312,11 +307,7 @@ def cmd_certify(args, fam):
     lines = [f"certified {len(fam)} members at d={args.d}"]
     lines += [f"  stratum |c|={s}: {len(v)} members" for s, v in assign.strata.items()]
     lines.append(f"  fiber sizes {hist} (max {biggest}, bound {fiber_bound(args.d)})")
-    for sh in shapes:
-        lines.append(
-            f"  fiber of {{{' '.join(map(str, sh['certificate']))}}}: {sh['kind']}"
-        )
-    return payload, lines, 0
+    return payload, lines + shape_lines, 0
 
 
 def cmd_sunflower(args, fam):
@@ -330,8 +321,8 @@ def cmd_sunflower(args, fam):
         "p": args.p,
         "threshold": sunflower_threshold(fam.k, args.p),
         "found": flower is not None,
-        "core": elements_of(flower.core.bits) if flower else None,
-        "petals": [elements_of(w.bits) for w in flower.petals] if flower else None,
+        "core": elements_of(flower.core) if flower else None,
+        "petals": [elements_of(m) for m in flower.petals] if flower else None,
     }
     if flower is None:
         lines = [
@@ -339,8 +330,8 @@ def cmd_sunflower(args, fam):
             f"(size {len(fam)} < threshold {payload['threshold']} is allowed to miss)"
         ]
     else:
-        lines = [f"{args.p}-sunflower with core {{{' '.join(map(str, payload['core']))}}}"]
-        lines += ["  petal " + " ".join(map(str, pet)) for pet in payload["petals"]]
+        lines = [f"{args.p}-sunflower with core {{{elements_text(flower.core)}}}"]
+        lines += ["  petal " + elements_text(m) for m in flower.petals]
     return payload, lines, 0
 
 
@@ -356,13 +347,13 @@ def _audit_payload(report) -> dict:
         "d": report.d,
         "anchors": list(report.anchors),
         "sizes": sizes,
-        "classes": {_member_key(m): label for m, label in report.classes.items()},
+        "classes": {elements_text(m): label for m, label in report.classes.items()},
         "index_family": [elements_of(s) for s in report.index_sets],
         "f": {
-            _member_key(m): [[idx, units] for idx, units in image]
+            elements_text(m): [[idx, units] for idx, units in image]
             for m, image in report.fmap.items()
         },
-        "g": {_member_key(m): idx for m, idx in report.gmap.items()},
+        "g": {elements_text(m): idx for m, idx in report.gmap.items()},
         "asserted": asserted,
         "reported": _encode(audit.reported),
     }
@@ -385,6 +376,10 @@ def cmd_pipeline(args, fam):
 
 
 def cmd_search(args, _fam):
+    if args.target is not None and args.mode != "witness":
+        raise UsageError("--target applies to witness mode only")
+    if args.s is not None and args.mode != "order-s":
+        raise UsageError("--s applies to order-s mode only")
     if args.mode == "order-s":
         if args.s is None:
             raise UsageError("order-s mode requires --s")

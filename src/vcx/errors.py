@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: UsageError -> 1, InvariantViolation -> 2.
 Budget exhaustion is a result state, not an exception (exit 3 at the CLI).
 """
 
+from .bitwords import set_text
+
 
 class VcxError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,7 +26,7 @@ class MemberShattered(VcxError):
     usage problem or an invariant violation depends on the caller's promises.
     """
 
-    def __init__(self, member, d):
+    def __init__(self, member: int, d: int):
         self.member = member
         self.d = d
-        super().__init__(f"member {member} is shattered: no certificate of size <= {d}")
+        super().__init__(f"member {set_text(member)} is shattered: no certificate of size <= {d}")

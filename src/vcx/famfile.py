@@ -7,7 +7,7 @@ first non-blank character is '#' are comments. Errors carry 1-based line
 numbers.
 """
 
-from .bitwords import mask_of
+from .bitwords import elements_text, mask_of
 from .errors import UsageError
 from .families import UniformFamily
 
@@ -63,8 +63,7 @@ def format_family(fam: UniformFamily, comment: str | None = None) -> str:
         for part in comment.splitlines():
             lines.append(f"# {part}")
     lines.append(f"{fam.n} {fam.k}")
-    for member in fam:
-        lines.append(" ".join(str(e) for e in member.elements()))
+    lines += map(elements_text, fam)
     return "\n".join(lines) + "\n"
 
 

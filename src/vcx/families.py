@@ -1,11 +1,12 @@
-"""Typed set-system core: subset words, uniform families, traces, VC dimension.
+"""Set-system core: uniform families, shattering, VC dimension, shadows.
 
-A SubsetWord is a subset of a fixed ground set [n] = {1, ..., n} stored as an
-integer bit word (element e <-> bit e-1). Canonical order on words of the same
-ground set is integer order on the bits, i.e. colex order on the sets; every
-"least" tie-break in this package means least in that order.
+Every set is a subset of a fixed ground set [n] = {1, ..., n} stored as an
+integer bit word (element e <-> bit e-1). Canonical order on words is integer
+order on the bits, i.e. colex order on the sets; every "least" tie-break in
+this package means least in that order.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -13,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .bitwords import elements_of, k_subset_masks, mask_of, popcount
+from .bitwords import k_subset_masks, mask_of, set_text
 from .errors import UsageError
 
 MAX_GROUND_SET = 63
@@ -25,107 +26,44 @@ MAX_VC_SCAN = 1 << 26
 
 
 @dataclass(frozen=True)
-class SubsetWord:
-    """A subset of [n] as a bit word. Immutable and totally ordered."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND_SET:
-            raise UsageError(f"ground set size {self.n} outside 1..{MAX_GROUND_SET}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise UsageError(f"bit word {self.bits:#x} has elements outside [{self.n}]")
-
-    @classmethod
-    def from_elements(cls, n: int, elements) -> "SubsetWord":
-        elements = list(elements)
-        for e in elements:
-            if not 1 <= e <= n:
-                raise UsageError(f"element {e} outside ground set [{n}]")
-        return cls(mask_of(elements), n)
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.bits)
-
-    def __len__(self) -> int:
-        return popcount(self.bits)
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and bool(self.bits >> (element - 1) & 1)
-
-    def _check_same_ground(self, other: "SubsetWord"):
-        if self.n != other.n:
-            raise UsageError(f"ground set mismatch: [{self.n}] vs [{other.n}]")
-
-    def __and__(self, other: "SubsetWord") -> "SubsetWord":
-        self._check_same_ground(other)
-        return SubsetWord(self.bits & other.bits, self.n)
-
-    def __or__(self, other: "SubsetWord") -> "SubsetWord":
-        self._check_same_ground(other)
-        return SubsetWord(self.bits | other.bits, self.n)
-
-    def __sub__(self, other: "SubsetWord") -> "SubsetWord":
-        self._check_same_ground(other)
-        return SubsetWord(self.bits & ~other.bits, self.n)
-
-    def __le__(self, other: "SubsetWord") -> bool:
-        self._check_same_ground(other)
-        return self.bits <= other.bits
-
-    def __lt__(self, other: "SubsetWord") -> bool:
-        self._check_same_ground(other)
-        return self.bits < other.bits
-
-    def issubset(self, other: "SubsetWord") -> bool:
-        self._check_same_ground(other)
-        return self.bits & ~other.bits == 0
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements()) + "}"
-
-    def __repr__(self) -> str:
-        return f"SubsetWord({str(self)}, n={self.n})"
-
-
-@dataclass(frozen=True)
 class UniformFamily:
-    """A k-uniform family over [n]: distinct k-subsets in canonical order."""
+    """A k-uniform family over [n]: distinct k-subsets as masks, ascending."""
 
     n: int
     k: int
-    members: tuple[SubsetWord, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise UsageError(f"uniformity {self.k} outside 0..{self.n}")
+        n, k, masks = self.n, self.k, self.masks
+        if not 1 <= n <= MAX_GROUND_SET:
+            raise UsageError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
+        if not 0 <= k <= n:
+            raise UsageError(f"uniformity {k} outside 0..{n}")
+        for m in masks[:1] + masks[-1:]:  # the least and the largest, once masks ascend
+            if m < 0 or m >> n:
+                raise UsageError(f"bit word {m:#x} has elements outside [{n}]")
         prev = -1
-        for w in self.members:
-            if w.n != self.n:
-                raise UsageError(f"member {w} has ground set [{w.n}], family has [{self.n}]")
-            if len(w) != self.k:
-                raise UsageError(f"member {w} has size {len(w)}, family is {self.k}-uniform")
-            if w.bits <= prev:
+        for m in masks:
+            if m <= prev:
                 raise UsageError("members must be strictly increasing in canonical order")
-            prev = w.bits
+            if m.bit_count() != k:
+                raise UsageError(
+                    f"member {set_text(m)} has size {m.bit_count()}, family is {k}-uniform"
+                )
+            prev = m
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks) -> "UniformFamily":
-        unique = sorted(set(masks))
-        return cls(n, k, tuple(SubsetWord(m, n) for m in unique))
+        return cls(n, k, tuple(sorted(set(masks))))
 
     @classmethod
     def from_element_lists(cls, n: int, k: int, lists) -> "UniformFamily":
-        return cls.from_masks(n, k, (mask_of(xs) for xs in lists))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(w.bits for w in self.members)
-
-    @cached_property
-    def mask_set(self) -> frozenset:
-        return frozenset(self.masks)
+        lists = [tuple(xs) for xs in lists]
+        for xs in lists:
+            for e in xs:
+                if not 1 <= e <= n:
+                    raise UsageError(f"element {e} outside ground set [{n}]")
+        return cls.from_masks(n, k, map(mask_of, lists))
 
     @cached_property
     def shadow_count(self) -> Counter:
@@ -144,13 +82,14 @@ class UniformFamily:
         return Counter(shadows.ravel().tolist())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self.masks)
 
-    def __contains__(self, word: SubsetWord) -> bool:
-        return word.n == self.n and word.bits in self.mask_set
+    def __contains__(self, mask: int) -> bool:
+        i = bisect_left(self.masks, mask)
+        return i < len(self.masks) and self.masks[i] == mask
 
 
 @dataclass(frozen=True)
@@ -159,7 +98,7 @@ class ShadowSet:
 
     n: int
     k: int
-    members: tuple[SubsetWord, ...]
+    members: tuple[int, ...]
     complement: bool
 
     def __len__(self) -> int:
@@ -169,24 +108,18 @@ class ShadowSet:
         return iter(self.members)
 
 
-def trace(F: SubsetWord, S: SubsetWord) -> SubsetWord:
-    """The trace of F on S, plain intersection with ground-set checking."""
-    return F & S
-
-
-def is_shattered(S: SubsetWord, fam: UniformFamily) -> bool:
+def is_shattered(S: int, fam: UniformFamily) -> bool:
     """Whether every subset of S occurs as a trace of some member on S."""
-    if S.n != fam.n:
-        raise UsageError(f"ground set mismatch: [{S.n}] vs [{fam.n}]")
-    size = len(S)
+    if S < 0 or S >> fam.n:
+        raise UsageError(f"bit word {S:#x} has elements outside [{fam.n}]")
+    size = S.bit_count()
     if size > MAX_SHATTER_CHECK:
         raise UsageError(f"shattering check capped at |S| <= {MAX_SHATTER_CHECK}, got {size}")
-    s = S.bits
-    realized = {m & s for m in fam.masks}
+    realized = {m & S for m in fam.masks}
     return len(realized) == 1 << size
 
 
-def shattered_witness(fam: UniformFamily, s: int) -> SubsetWord | None:
+def shattered_witness(fam: UniformFamily, s: int) -> int | None:
     """Canonically least shattered s-subset of [n], or None if there is none."""
     if s < 0 or s > MAX_SHATTER_CHECK:
         raise UsageError(f"witness size {s} outside 0..{MAX_SHATTER_CHECK}")
@@ -196,7 +129,7 @@ def shattered_witness(fam: UniformFamily, s: int) -> SubsetWord | None:
     masks = fam.masks
     for cand in k_subset_masks(fam.n, s):
         if len({m & cand for m in masks}) == target:
-            return SubsetWord(cand, fam.n)
+            return cand
     return None
 
 
@@ -226,8 +159,7 @@ def shadow(fam: UniformFamily) -> ShadowSet:
     """All (k-1)-sets contained in at least one member."""
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
-    words = tuple(SubsetWord(b, fam.n) for b in sorted(fam.shadow_count))
-    return ShadowSet(fam.n, fam.k, words, complement=False)
+    return ShadowSet(fam.n, fam.k, tuple(sorted(fam.shadow_count)), complement=False)
 
 
 def complement_shadow(fam: UniformFamily) -> ShadowSet:
@@ -235,9 +167,7 @@ def complement_shadow(fam: UniformFamily) -> ShadowSet:
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
     present = fam.shadow_count
-    words = tuple(
-        SubsetWord(b, fam.n) for b in k_subset_masks(fam.n, fam.k - 1) if b not in present
-    )
+    words = tuple(b for b in k_subset_masks(fam.n, fam.k - 1) if b not in present)
     return ShadowSet(fam.n, fam.k, words, complement=True)
 
 

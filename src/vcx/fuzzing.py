@@ -12,11 +12,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .bitwords import popcount
 from .certificates import build_assignment, classify_fiber, fiber_size_histogram
 from .constructions import FuzzSeed, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
-from .families import SubsetWord, UniformFamily
+from .families import UniformFamily
 from .famfile import format_family
 from .pipeline import run_pipeline
 
@@ -69,11 +68,10 @@ def check_family(fam: UniformFamily, d: int, seed: int = -1) -> FamilyCheck:
 
     shapes: dict = {}
     for t, members in assign.fibers.items():
-        if popcount(t) != d - 1:
+        if t.bit_count() != d - 1:
             continue
-        shape = classify_fiber(SubsetWord(t, fam.n), assign)
-        rebuilt = tuple(w.bits for w in shape.reconstructed_fiber())
-        if rebuilt != members:
+        shape = classify_fiber(t, assign)
+        if shape.reconstructed_fiber() != members:
             raise InvariantViolation(
                 f"fiber of {t:#x} does not round-trip through its {shape.kind} shape"
             )

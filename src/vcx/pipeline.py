@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .bitwords import bit, k_subset_masks, mask_of, popcount, positions_of, shadow_masks
+from .bitwords import bit, k_subset_masks, mask_of, positions_of
 from .certificates import (
     CHERRY,
     SINGLETON,
@@ -107,11 +107,11 @@ def build_pair_collection(assign: CertificateAssignment) -> PairCollection:
                     continue
                 if cert[fa] | cert[fb] == fa & fb:
                     inter = fa & fb
-                    if popcount(inter) != d:
+                    if inter.bit_count() != d:
                         raise InvariantViolation(
-                            f"paired members intersect in {popcount(inter)} != d elements"
+                            f"paired members intersect in {inter.bit_count()} != d elements"
                         )
-                    if popcount(cert[fa] & cert[fb]) != d - 2:
+                    if (cert[fa] & cert[fb]).bit_count() != d - 2:
                         raise InvariantViolation("paired certificates must share d-2 elements")
                     pairs.append((fa, fb))
                     paired.add(fa)
@@ -135,9 +135,7 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     fam = assign.family
     d = assign.d
     keep = tuple(
-        w
-        for w in fam.members
-        if popcount(assign.assigned[w.bits]) >= d - 1 and w.bits not in pc.paired
+        m for m in fam.masks if assign.assigned[m].bit_count() >= d - 1 and m not in pc.paired
     )
     sub = UniformFamily(fam.n, fam.k, keep)
     occ = occupancy_words(sub.masks, sub.k)
@@ -154,9 +152,9 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
                 f"expected at least d-1"
             )
         old = assign.assigned[m]
-        if popcount(old) != d - 1:
+        if old.bit_count() != d - 1:
             raise InvariantViolation(
-                f"member {m:#x} lost its size-{popcount(old)} certificate in the survivors"
+                f"member {m:#x} lost its size-{old.bit_count()} certificate in the survivors"
             )
         if word >> compress_trace(old, pos) & 1:
             raise InvariantViolation(
@@ -165,7 +163,7 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
         cg[m] = old
     assign_g = assemble_assignment(sub, d, cg)
     _check_certificate_zones(assign_g)
-    return tuple(sub.masks), assign_g
+    return sub.masks, assign_g
 
 
 def _check_certificate_zones(assign_g: CertificateAssignment):
@@ -262,17 +260,15 @@ def partition_family(
     v_mask = ((1 << fam.n) - 1) & ~ij
     cg = assign_g.assigned
 
-    low_strata = [
-        m for m in fam.masks if popcount(assign.assigned[m]) <= d - 2
-    ]
+    low_strata = [m for m in fam.masks if assign.assigned[m].bit_count() <= d - 2]
     f1 = sorted(set(low_strata) | pc.paired)
 
     f2 = []
     f3 = []
     for m in g_members:
         c = cg[m]
-        in_gd1_anchor = popcount(c) == d - 1 and m & ij
-        in_gij = (m & ij) == ij and popcount(c & ~ij) <= d - 2
+        in_gd1_anchor = c.bit_count() == d - 1 and m & ij
+        in_gij = (m & ij) == ij and (c & ~ij).bit_count() <= d - 2
         if in_gd1_anchor or in_gij:
             f2.append(m)
         else:
@@ -282,18 +278,18 @@ def partition_family(
     for m in f3:
         c = cg[m]
         if m & ij == 0:
-            classes[m] = KD if popcount(c) == d else KD1
+            classes[m] = KD if c.bit_count() == d else KD1
             continue
-        if popcount(c) != d:
+        if c.bit_count() != d:
             raise InvariantViolation(
-                f"member {m:#x} meets the anchors with a size-{popcount(c)} certificate"
+                f"member {m:#x} meets the anchors with a size-{c.bit_count()} certificate"
             )
-        ci = popcount(c & ij)
+        ci = (c & ij).bit_count()
         if ci > 1:
             raise InvariantViolation(f"member {m:#x} has both anchors inside its certificate")
         if ci == 0:
             classes[m] = H0STAR
-        elif popcount(m & ij) == 1:
+        elif (m & ij).bit_count() == 1:
             classes[m] = H11
         else:
             classes[m] = H12
@@ -305,7 +301,7 @@ def partition_family(
 
     # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow
     index_sets = list(_v_subsets(v_mask, d - 1))
-    index_sets += {s for m in f3 for s in shadow_masks(m) if not s & ij}
+    index_sets += [s for s in UniformFamily(fam.n, fam.k, tuple(f3)).shadow_count if not s & ij]
     index_sets.sort()
     index_of = {s: pos for pos, s in enumerate(index_sets)}
 
@@ -413,7 +409,7 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
         return ((index(t, "singleton fiber, unshared"), 2),)
     if len(hits) == 1:
         a_mask = hits[0] & v & ~t
-        if popcount(a_mask) != 1:
+        if a_mask.bit_count() != 1:
             raise InvariantViolation("anchor-side member must add one element of V beyond T")
         a = a_mask.bit_length()
         if a not in (x, y):
@@ -441,7 +437,7 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
             (index(t | bit(x), "singleton fiber, split sharers"), 1),
             (index(t | bit(y), "singleton fiber, split sharers"), 1),
         )
-    if popcount(extra) != 1 or extra & ~v:
+    if extra.bit_count() != 1 or extra & ~v:
         raise InvariantViolation("anchor-side sharers overlap beyond T in more than one V element")
     a = extra.bit_length()
     if a not in (x, y):
@@ -527,7 +523,7 @@ def audit_bound(report: PartitionReport) -> PartitionReport:
     v = report.v_mask
 
     g_shadow = report.assign_g.family.shadow_count  # built by select_anchor_pair
-    f3_in_v_shadow = sum(1 for s in report.index_sets if popcount(s) == d)
+    f3_in_v_shadow = sum(1 for s in report.index_sets if s.bit_count() == d)
 
     comp_shadow_g = comb(n, d) - len(g_shadow)
     comp_shadow_f = comb(n, d) - len(fam.shadow_count)

@@ -13,20 +13,20 @@ from math import factorial
 
 from .bitwords import bit, elements_of
 from .errors import UsageError
-from .families import SubsetWord, UniformFamily
+from .families import UniformFamily
 
 
 @dataclass(frozen=True)
 class Sunflower:
-    core: SubsetWord
-    petals: tuple[SubsetWord, ...]
+    core: int
+    petals: tuple[int, ...]  # ascending
 
 
 def validate_sunflower(flower: Sunflower) -> bool:
     """True iff all pairwise petal intersections equal the core (and the core
     lies inside every petal, which matters only for a single petal)."""
-    core = flower.core.bits
-    masks = [p.bits for p in flower.petals]
+    core = flower.core
+    masks = flower.petals
     if len(set(masks)) != len(masks):
         return False
     for m in masks:
@@ -56,11 +56,7 @@ def find_sunflower(fam: UniformFamily, p: int) -> Sunflower | None:
     if found is None:
         return None
     core_mask, petal_masks = found
-    n = fam.n
-    return Sunflower(
-        SubsetWord(core_mask, n),
-        tuple(SubsetWord(m, n) for m in sorted(petal_masks)),
-    )
+    return Sunflower(core_mask, tuple(sorted(petal_masks)))
 
 
 def _find(masks: list[int], p: int):

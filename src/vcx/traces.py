@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bitwords import popcount, positions_of
+from .bitwords import positions_of
 from .errors import InvariantViolation
 
 # the batch numpy path packs occupancy into uint32, so it needs 2^k <= 32 bits
@@ -41,7 +41,7 @@ def size_layer_mask(k: int, s: int) -> int:
     """Occupancy bits of the proper subsets of size exactly s."""
     m = 0
     for c in range(1 << k):
-        if popcount(c) == s and c != (1 << k) - 1:
+        if c.bit_count() == s and c != (1 << k) - 1:
             m |= 1 << c
     return m
 
@@ -110,8 +110,8 @@ def _preference(k: int):
     lower compressed index) plus a sentinel, with their sizes and the bit
     shifts that decode an index. The sentinel, bit 63, is clear in every
     word, so it is the first clear bit of a shattered member."""
-    order = sorted(range((1 << k) - 1), key=lambda c: (-popcount(c), c))
-    sizes = [popcount(c) for c in order]
+    order = sorted(range((1 << k) - 1), key=lambda c: (-c.bit_count(), c))
+    sizes = [c.bit_count() for c in order]
     order = np.array(order + [63], dtype=np.int64)
     return order, np.array(sizes + [-1], dtype=np.int64), np.arange(k, dtype=np.int64)[:, None]
 

@@ -16,10 +16,10 @@ import pytest
 
 import conftest
 from oracles import oracle_max_family, oracle_vc, oracle_vc_le
-from vcx.bitwords import k_subset_masks
+from vcx.bitwords import elements_of, k_subset_masks
 from vcx.certificates import fiber_bound
 from vcx.constructions import SplitMix64, star_family
-from vcx.families import SubsetWord, UniformFamily, sauer_shelah_bound, vc_dimension
+from vcx.families import UniformFamily, sauer_shelah_bound, vc_dimension
 from vcx.fuzzing import fuzz_campaign
 from vcx.pipeline import H0STAR, H12, run_pipeline
 from vcx.search import certificate_order_max, exact_max, lower_bound_witness, search_bracket
@@ -64,7 +64,7 @@ def test_criterion_1_vc_oracle_equivalence():
     mismatches = 0
     for seed in range(1000):
         fam = seeded_mixed_family(seed)
-        if vc_dimension(fam) != oracle_vc(fam.n, [w.elements() for w in fam.members]):
+        if vc_dimension(fam) != oracle_vc(fam.n, [elements_of(m) for m in fam]):
             mismatches += 1
     elapsed = time.monotonic() - t0
     report(
@@ -133,8 +133,8 @@ def test_criterion_4_pipeline_soundness(campaign):
 def test_criterion_5_star_worked_example():
     report5 = run_pipeline(star_family(5, 2), 2)
     n = 5
-    classes = {SubsetWord(m, n).elements(): c for m, c in report5.classes.items()}
-    fmap = {SubsetWord(m, n).elements(): im for m, im in report5.fmap.items()}
+    classes = {elements_of(m): c for m, c in report5.classes.items()}
+    fmap = {elements_of(m): im for m, im in report5.fmap.items()}
     chain = next(c for c in report5.audit.asserted if c[0] == "family_le_f1_f2_chain")
     ok = (
         report5.anchors == (1, 2)
@@ -143,7 +143,7 @@ def test_criterion_5_star_worked_example():
             (1, 2, 3): H12, (1, 2, 4): H12, (1, 2, 5): H12,
             (1, 3, 4): H0STAR, (1, 3, 5): H0STAR, (1, 4, 5): H0STAR,
         }
-        and [SubsetWord(s, n).elements() for s in report5.index_sets]
+        and [elements_of(s) for s in report5.index_sets]
         == [(3,), (4,), (3, 4), (5,), (3, 5), (4, 5)]
         and fmap
         == {
@@ -210,7 +210,7 @@ def test_criterion_8_lower_bound_witnesses():
         r = lower_bound_witness(n, 2)
         elapsed = time.monotonic() - t0
         fam = UniformFamily.from_masks(n, 3, r.witness)
-        verified = oracle_vc_le(n, [w.elements() for w in fam.members], 2)
+        verified = oracle_vc_le(n, [elements_of(m) for m in fam], 2)
         ok = ok and r.target == want and r.best >= want and verified and elapsed < 600
         results.append(f"({n},2): size {r.best} in {elapsed:.1f}s")
     report(8, ok, "witnesses with oracle-verified VC <= 2: " + ", ".join(results))
@@ -223,7 +223,7 @@ def test_criterion_9_conjecture_probe():
         r = certificate_order_max(6, 2, s)
         within = r.optimal and r.best <= 10
         if not within:
-            witness = [SubsetWord(m, 6).elements() for m in r.witness]
+            witness = [elements_of(m) for m in r.witness]
             lines.append(
                 f"s={s}: CONJECTURE COUNTEREXAMPLE best={r.best} > 10, "
                 f"witness {witness}"

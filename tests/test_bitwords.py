@@ -4,9 +4,10 @@ from vcx.bitwords import (
     bit,
     elements_of,
     k_subset_masks,
+    elements_text,
     mask_of,
-    popcount,
     positions_of,
+    set_text,
     submasks,
 )
 from vcx.constructions import SplitMix64
@@ -23,10 +24,12 @@ def test_bit_and_mask_round_trip():
     assert mask_of(elements_of(0b101101)) == 0b101101
 
 
-def test_popcount_small_values():
-    assert popcount(0) == 0
-    assert popcount(0b1011) == 3
-    assert popcount((1 << 40) - 1) == 40
+def test_set_and_element_text():
+    assert set_text(0b1011) == "{1,2,4}"
+    assert set_text(0) == "{}"
+    assert elements_text(0b1011) == "1 2 4"
+    assert elements_text(0) == ""
+    assert elements_text(1 << 62) == "63"
 
 
 def test_k_subset_masks_explicit_order():
@@ -43,7 +46,7 @@ def test_k_subset_masks_matches_filtered_range():
         n = 1 + rng.below(10)
         k = rng.below(n + 1)
         got = list(k_subset_masks(n, k))
-        want = [m for m in range(1 << n) if popcount(m) == k]
+        want = [m for m in range(1 << n) if m.bit_count() == k]
         assert got == want, f"(n={n}, k={k})"
         assert len(got) == comb(n, k)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mask_from, oracle_certificates
-from vcx.bitwords import k_subset_masks, popcount
+from vcx.bitwords import elements_of, k_subset_masks, mask_of
 from vcx.certificates import (
     CHERRY,
     SINGLETON,
@@ -18,19 +18,19 @@ from vcx.certificates import (
 )
 from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
 from vcx.errors import InvariantViolation, MemberShattered
-from vcx.families import SubsetWord, UniformFamily
+from vcx.families import UniformFamily
 
 FOUR_FAM = UniformFamily.from_element_lists(
     6, 3, [[3, 4, 5], [1, 3, 4], [2, 3, 5], [2, 4, 5]]
 )
 
 
-def w(n, *elements):
-    return SubsetWord.from_elements(n, elements)
+def w(*elements):
+    return mask_of(elements)
 
 
-def masks_to_sets(words):
-    return [x.elements() for x in words]
+def masks_to_sets(masks):
+    return [elements_of(m) for m in masks]
 
 
 # -------------------------------------------------------------- certificates
@@ -38,18 +38,19 @@ def masks_to_sets(words):
 
 def test_build_assignment_canonical_choice():
     fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
-    assert build_assignment(fam, 2).certificate_of(w(4, 1, 2, 3)).elements() == (1, 3)
+    assert build_assignment(fam, 2).assigned[w(1, 2, 3)] == w(1, 3)
     fam1 = UniformFamily.from_element_lists(3, 3, [[1, 2, 3]])
-    assert build_assignment(fam1, 2).certificate_of(w(3, 1, 2, 3)).elements() == (1, 2)
-    assert build_assignment(FOUR_FAM, 2).certificate_of(w(6, 3, 4, 5)).elements() == (3,)
+    assert build_assignment(fam1, 2).assigned[w(1, 2, 3)] == w(1, 2)
+    assert build_assignment(FOUR_FAM, 2).assigned[w(3, 4, 5)] == w(3)
 
 
 def test_build_assignment_shattered_member_raises():
     # In the complete 3-uniform family on [6], every proper subset of {1,2,3}
     # is realized as a trace ({4,5,6} gives the empty one), so no certificate.
     fam = UniformFamily.from_masks(6, 3, k_subset_masks(6, 3))
-    with pytest.raises(MemberShattered):
+    with pytest.raises(MemberShattered, match=r"member \{1,2,3\} is shattered") as err:
         build_assignment(fam, 2)
+    assert err.value.member == w(1, 2, 3)
 
 
 # ---------------------------------------------------------------- assignment
@@ -58,8 +59,8 @@ def test_build_assignment_shattered_member_raises():
 def test_star_assignment():
     fam = star_family(5, 2)
     assign = build_assignment(fam, 2)
-    for F in fam.members:
-        assert assign.certificate_of(F).bits == F.bits & ~1  # F minus element 1
+    for F in fam:
+        assert assign.assigned[F] == F & ~1  # F minus element 1
     assert set(assign.strata) == {2}
     assert len(assign.strata[2]) == 6
     hist, biggest = fiber_size_histogram(assign)
@@ -68,8 +69,8 @@ def test_star_assignment():
 
 def test_four_family_assignment_strata():
     assign = build_assignment(FOUR_FAM, 2)
-    assert assign.certificate_of(w(6, 3, 4, 5)).elements() == (3,)
-    assert assign.strata[1] == (w(6, 3, 4, 5).bits,)
+    assert assign.assigned[w(3, 4, 5)] == w(3)
+    assert assign.strata[1] == (w(3, 4, 5),)
     assert len(assign.strata[2]) == 3
 
 
@@ -99,13 +100,14 @@ def test_assignment_validate_catches_non_canonical_choice():
         fam = random_maximal_vc_family(FuzzSeed(seed, 8, 2))
         assign = build_assignment(fam, 2)
         assign.validate()
-        lists = [F.elements() for F in fam.members]
-        for F in fam.members:
-            top = sorted(mask_from(t) for t in oracle_certificates(F.elements(), lists) if len(t) == 2)
+        lists = [elements_of(F) for F in fam]
+        for F in fam:
+            certs = oracle_certificates(elements_of(F), lists)
+            top = sorted(mask_from(t) for t in certs if len(t) == 2)
             if len(top) < 2:
                 continue
             assigned = dict(assign.assigned)
-            assigned[F.bits] = top[1]
+            assigned[F] = top[1]
             custom = assemble_assignment(fam, 2, assigned)
             with pytest.raises(InvariantViolation, match="canonical"):
                 custom.validate()
@@ -124,7 +126,7 @@ def test_build_assignment_agrees_with_oracle_certificates(data):
     pool = list(combinations(range(1, n + 1), d + 1))
     lists = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=30), label="members")
     fam = UniformFamily.from_element_lists(n, d + 1, lists)
-    found = {F.bits: oracle_certificates(F.elements(), lists) for F in fam.members}
+    found = {F: oracle_certificates(elements_of(F), lists) for F in fam}
     if not all(found.values()):
         with pytest.raises(MemberShattered):
             build_assignment(fam, d)
@@ -147,7 +149,7 @@ def test_fiber_bound_values():
 
 def test_singleton_fiber_by_hand():
     assign = build_assignment(FOUR_FAM, 2)
-    shape = classify_fiber(w(6, 3), assign)
+    shape = classify_fiber(w(3), assign)
     assert shape.kind == SINGLETON
     assert shape.elements == (4, 5)
     assert masks_to_sets(shape.fiber) == [(3, 4, 5)]
@@ -160,7 +162,7 @@ def test_triangle_fiber_frozen_seed():
     # (n=8, d=2) seed 3 was found by scanning the deterministic generator.
     fam = random_maximal_vc_family(FuzzSeed(3, 8, 2))
     assign = build_assignment(fam, 2)
-    shape = classify_fiber(w(8, 6), assign)
+    shape = classify_fiber(w(6), assign)
     assert shape.kind == TRIANGLE
     assert shape.elements == (4, 7, 8)
     assert masks_to_sets(shape.fiber) == [(4, 6, 7), (4, 6, 8), (6, 7, 8)]
@@ -170,7 +172,7 @@ def test_triangle_fiber_frozen_seed():
 def test_cherry_fiber_frozen_seed():
     fam = random_maximal_vc_family(FuzzSeed(4, 8, 2))
     assign = build_assignment(fam, 2)
-    shape = classify_fiber(w(8, 8), assign)
+    shape = classify_fiber(w(8), assign)
     assert shape.kind == CHERRY
     shared, leaf1, leaf2 = shape.elements
     assert shared == 7 and {leaf1, leaf2} == {1, 2}
@@ -185,11 +187,11 @@ def test_fiber_shapes_round_trip_seeded():
         fam = random_maximal_vc_family(FuzzSeed(seed, 8, 2))
         assign = build_assignment(fam, 2)
         for t, members in assign.fibers.items():
-            if popcount(t) != 1:
+            if t.bit_count() != 1:
                 continue
-            shape = classify_fiber(SubsetWord(t, 8), assign)
-            got = tuple(x.bits for x in shape.reconstructed_fiber())
-            assert got == members, f"seed {seed}, T {t:#x}"
+            shape = classify_fiber(t, assign)
+            assert shape.T == t
+            assert shape.reconstructed_fiber() == shape.fiber == members, f"seed {seed}, T {t:#x}"
 
 
 def test_size_d_fibers_pin_unique_supersets_seeded():
@@ -197,8 +199,8 @@ def test_size_d_fibers_pin_unique_supersets_seeded():
         fam = random_maximal_vc_family(FuzzSeed(seed, 9, 2))
         assign = build_assignment(fam, 2)
         for t, members in assign.fibers.items():
-            if popcount(t) == 2:
+            if t.bit_count() == 2:
                 supersets = [m for m in fam.masks if t & ~m == 0]
                 assert len(members) == 1 and len(supersets) == 1, f"seed {seed}"
-            if popcount(t) == 1:
+            if t.bit_count() == 1:
                 assert len(members) <= 3, f"seed {seed}"

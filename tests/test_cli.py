@@ -89,6 +89,48 @@ def test_result_digests_are_pinned(tmp_path):
         assert payload["manifest"]["result_digest"] == digest, cmd
 
 
+# table-mode stdout of the commands that print sets, on the same family
+PINNED_TABLES = [
+    (["vc", "--input", "f.fam"],
+     "n=10 k=3 members=26\n"
+     "vc_dimension = 2\n"
+     "sauer_shelah bound at vc: 56\n"
+     "frankl_pach bound C(n, k-1): 45\n"),
+    (["shadow", "--input", "f.fam", "--r", "2", "--complement"],
+     "complement shadow at r=2: 3 sets\n"
+     "  2 6\n"
+     "  3 6\n"
+     "  6 10\n"),
+    (["certify", "--input", "f.fam", "--d", "2"],
+     "certified 26 members at d=2\n"
+     "  stratum |c|=1: 3 members\n"
+     "  stratum |c|=2: 23 members\n"
+     "  fiber sizes {1: 26} (max 1, bound 162)\n"
+     "  fiber of {2}: SINGLETON\n"
+     "  fiber of {6}: SINGLETON\n"
+     "  fiber of {10}: SINGLETON\n"),
+    (["sunflower", "--input", "f.fam", "--p", "3"],
+     "3-sunflower with core {}\n"
+     "  petal 1 2 3\n"
+     "  petal 4 5 6\n"
+     "  petal 7 8 9\n"),
+    (["pipeline", "--input", "f.fam", "--d", "2"],
+     "partition at d=2: |F1|=0 |F2|=2 |F3|=24 of 26\n"
+     "anchors (1, 7), index family size 33\n"
+     "audit: 26 <= 0 + 2 + 36 - 3 = 35\n"
+     "max column sum: 2 half-units\n"),
+]
+
+
+def test_table_output_is_pinned(tmp_path):
+    gen = PINNED_DIGESTS[0][1]
+    assert run_cli("gen", *gen, cwd=tmp_path).returncode == 0
+    for argv, text in PINNED_TABLES:
+        proc = run_cli(*argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == text, argv[0]
+
+
 def test_gen_random_is_seed_deterministic(tmp_path):
     a, b = tmp_path / "a.fam", tmp_path / "b.fam"
     run_cli("gen", "--kind", "random", "--n", "7", "--d", "2", "--seed", "9", "--out", str(a))
@@ -272,6 +314,22 @@ def test_fuzz_d_below_one_is_a_usage_error(tmp_path):
 )
 def test_flags_a_command_would_ignore_are_refused(args):
     assert_usage_error(run_cli(*args), "unrecognized arguments", args[-2])
+
+
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (("--target", "12"), "--target"),
+        (("--mode", "order-s", "--s", "1", "--target", "12"), "--target"),
+        (("--s", "1"), "--s"),
+        (("--mode", "witness", "--s", "1"), "--s"),
+    ],
+    ids=["target-exact", "target-order-s", "s-exact", "s-witness"],
+)
+def test_search_flags_of_another_mode_are_refused(args, word):
+    proc = run_cli("search", "--n", "6", "--d", "2", *args)
+    assert_usage_error(proc, word)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_search_cost_guard_refuses_huge_instance():

@@ -9,6 +9,7 @@ from vcx.constructions import (
     random_maximal_vc_family,
     star_family,
 )
+from vcx.bitwords import elements_of
 from vcx.families import vc_dimension
 
 
@@ -43,11 +44,11 @@ def test_shuffle_is_a_permutation_and_deterministic():
 
 def test_star_families():
     fam = star_family(5, 2)
-    assert [m.elements() for m in fam.members] == [
+    assert [elements_of(m) for m in fam] == [
         (1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 5), (1, 4, 5),
     ]
     assert len(fam) == comb(4, 2)
-    assert [m.elements() for m in star_family(3, 2).members] == [(1, 2, 3)]
+    assert [elements_of(m) for m in star_family(3, 2)] == [(1, 2, 3)]
     assert len(star_family(8, 3)) == comb(7, 3)
 
 
@@ -70,7 +71,7 @@ def test_random_maximal_is_deterministic():
 def test_random_maximal_respects_vc_oracle():
     for seed in range(25):
         fam = random_maximal_vc_family(FuzzSeed(seed, 7, 2))
-        members = [m.elements() for m in fam.members]
+        members = [elements_of(m) for m in fam]
         assert oracle_vc_le(fam.n, members, 2), f"seed {seed}"
 
 
@@ -78,7 +79,7 @@ def test_random_maximal_is_maximal():
     """No candidate outside the family can be added without pushing VC past d."""
     for seed in range(6):
         fam = random_maximal_vc_family(FuzzSeed(seed, 6, 2))
-        members = [m.elements() for m in fam.members]
+        members = [elements_of(m) for m in fam]
         from itertools import combinations
 
         for cand in combinations(range(1, 7), 3):

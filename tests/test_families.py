@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from oracles import oracle_shadow_count, oracle_vc
 from vcx import families
 from vcx.constructions import SplitMix64, star_family
-from vcx.bitwords import k_subset_masks
+from vcx.bitwords import elements_of, k_subset_masks, mask_of
 from vcx.errors import UsageError
 from vcx.families import (
-    SubsetWord,
     UniformFamily,
     complement_shadow,
     frankl_pach_bound,
@@ -18,14 +17,13 @@ from vcx.families import (
     sauer_shelah_bound,
     shadow,
     shattered_witness,
-    trace,
     vc_dimension,
 )
 from vcx.famfile import format_family, parse_family
 
 
-def w(n, *elements):
-    return SubsetWord.from_elements(n, elements)
+def w(*elements):
+    return mask_of(elements)
 
 
 def fam_of(n, k, *element_lists):
@@ -42,52 +40,55 @@ def seeded_family(seed, max_n=10, max_k=4, max_members=40):
     return UniformFamily.from_masks(n, k, pool[:m])
 
 
-# ---------------------------------------------------------------- SubsetWord
-
-
-def test_trace_by_hand():
-    F = w(4, 1, 2, 3)
-    assert trace(F, w(4, 2, 4)).elements() == (2,)
-    assert trace(F, SubsetWord(0, 4)).bits == 0
-    assert trace(F, F) == F
+# ------------------------------------------------------------------ families
 
 
 def test_words_reject_mismatched_ground_sets():
-    with pytest.raises(UsageError):
-        trace(w(4, 1, 2), w(5, 1, 2))
-    with pytest.raises(UsageError):
-        w(4, 1) | w(6, 1)
+    with pytest.raises(UsageError, match="outside"):
+        is_shattered(w(5), fam_of(4, 2, [1, 2]))
+    with pytest.raises(UsageError, match="outside"):
+        is_shattered(-1, fam_of(4, 2, [1, 2]))
 
 
 def test_word_bounds():
-    with pytest.raises(UsageError):
-        SubsetWord(1 << 4, 4)
-    with pytest.raises(UsageError):
-        SubsetWord.from_elements(3, [4])
-    with pytest.raises(UsageError):
-        SubsetWord(0, 64)
+    with pytest.raises(UsageError, match="outside"):
+        UniformFamily(4, 1, (1 << 4,))
+    with pytest.raises(UsageError, match="outside"):
+        UniformFamily.from_masks(4, 1, [-8, 1])
+    with pytest.raises(UsageError, match="ground set size"):
+        UniformFamily(64, 1, ())
+
+
+def test_element_lists_reject_elements_outside_the_ground_set():
+    for lists in ([(0, 1)], [(1, 6)], [(-1, 2)], [(1, 2), (2, 0)]):
+        with pytest.raises(UsageError, match="outside ground set"):
+            UniformFamily.from_element_lists(5, 2, lists)
 
 
 def test_family_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="size 3"):
         fam_of(4, 2, [1, 2, 3])
-    with pytest.raises(UsageError):
-        UniformFamily(4, 2, (w(4, 1, 2), w(4, 1, 2)))
+    with pytest.raises(UsageError, match="strictly increasing"):
+        UniformFamily(4, 2, (w(1, 2), w(1, 2)))
+    with pytest.raises(UsageError, match="strictly increasing"):
+        UniformFamily(4, 2, (w(3, 4), w(1, 2)))
     fam = UniformFamily.from_masks(4, 2, [0b1010, 0b0011, 0b1010])
     assert fam.masks == (0b0011, 0b1010)
+    assert list(fam) == [0b0011, 0b1010]
+    assert 0b1010 in fam and 0b0101 not in fam and 0b1111 not in fam
 
 
 # ---------------------------------------------------------------- shattering
 
 
 def test_empty_set_shattered_by_nonempty_family():
-    assert is_shattered(SubsetWord(0, 2), fam_of(2, 2, [1, 2]))
+    assert is_shattered(0, fam_of(2, 2, [1, 2]))
 
 
 def test_singleton_not_shattered_when_every_member_hits_it():
     fam = fam_of(4, 3, [1, 2, 3], [1, 2, 4])
-    assert not is_shattered(w(4, 1), fam)
-    assert is_shattered(w(4, 3), fam)
+    assert not is_shattered(w(1), fam)
+    assert is_shattered(w(3), fam)
 
 
 def test_vc_dimension_examples():
@@ -100,16 +101,16 @@ def test_vc_dimension_examples():
 
 def test_shattered_witness_examples():
     pairs = UniformFamily.from_masks(4, 2, k_subset_masks(4, 2))
-    assert shattered_witness(pairs, 2).elements() == (1, 2)
+    assert shattered_witness(pairs, 2) == w(1, 2)
     assert shattered_witness(fam_of(3, 3, [1, 2, 3]), 1) is None
-    assert shattered_witness(fam_of(3, 3, [1, 2, 3]), 0).bits == 0
+    assert shattered_witness(fam_of(3, 3, [1, 2, 3]), 0) == 0
 
 
 def test_vc_dimension_against_oracle_seeded():
     for seed in range(150):
         fam = seeded_family(seed, max_n=8)
         got = vc_dimension(fam)
-        want = oracle_vc(fam.n, [m.elements() for m in fam.members])
+        want = oracle_vc(fam.n, [elements_of(m) for m in fam])
         assert got == want, f"seed {seed}: vc {got} != oracle {want}"
 
 
@@ -118,7 +119,7 @@ def test_vc_dimension_against_oracle_seeded():
 
 def test_shadow_by_hand():
     sh = shadow(fam_of(3, 3, [1, 2, 3]))
-    assert [x.elements() for x in sh.members] == [(1, 2), (1, 3), (2, 3)]
+    assert [elements_of(x) for x in sh] == [(1, 2), (1, 3), (2, 3)]
     sh = shadow(fam_of(4, 3, [1, 2, 3], [1, 2, 4]))
     assert len(sh) == 5
     assert len(shadow(UniformFamily(4, 3, ()))) == 0
@@ -126,7 +127,7 @@ def test_shadow_by_hand():
 
 def test_complement_shadow_by_hand():
     cs = complement_shadow(fam_of(4, 3, [1, 2, 3], [1, 2, 4]))
-    assert [x.elements() for x in cs.members] == [(3, 4)]
+    assert [elements_of(x) for x in cs] == [(3, 4)]
     assert len(complement_shadow(star_family(5, 2))) == 0
     assert len(complement_shadow(UniformFamily(4, 3, ()))) == comb(4, 2)
 
@@ -144,7 +145,7 @@ def test_shadow_count_matches_the_oracle():
         UniformFamily.from_element_lists(63, 1, [[1], [63]]),
     ]
     for fam in cases:
-        lists = [m.elements() for m in fam.members]
+        lists = [elements_of(m) for m in fam]
         want = oracle_shadow_count(lists)
         got = {
             tuple(e for e in range(1, fam.n + 1) if s >> (e - 1) & 1): c
@@ -191,7 +192,7 @@ def test_sauer_shelah_holds_on_seeded_families():
 def test_parse_two_member_file():
     fam = parse_family("4 3\n1 2 3\n1 2 4\n")
     assert fam.n == 4 and fam.k == 3
-    assert [m.elements() for m in fam.members] == [(1, 2, 3), (1, 2, 4)]
+    assert [elements_of(m) for m in fam] == [(1, 2, 3), (1, 2, 4)]
 
 
 def test_parse_header_only_is_empty_family():
@@ -281,5 +282,5 @@ def test_vc_dimension_cost_guard_refuses_before_scanning(monkeypatch):
 def test_vc_dimension_scan_stops_at_log2_of_family_size(monkeypatch):
     scanned = _spy_on_scans(monkeypatch)
     fam = fam_of(5, 3, [3, 4, 5], [1, 4, 5], [2, 4, 5], [1, 2, 5])  # shatters {1, 2}
-    assert vc_dimension(fam) == 2 == oracle_vc(5, [w.elements() for w in fam.members])
+    assert vc_dimension(fam) == 2 == oracle_vc(5, [elements_of(m) for m in fam])
     assert scanned == [1, 2]  # 4 members cannot shatter a 3-set

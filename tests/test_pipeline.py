@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
-from vcx.bitwords import popcount
+from vcx.bitwords import elements_of, mask_of
 from vcx.certificates import build_assignment
 from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
 from vcx.errors import InvariantViolation, UsageError
-from vcx.families import SubsetWord, UniformFamily
+from vcx.families import UniformFamily
 from vcx.fuzzing import check_family
 from vcx.pipeline import (
     H0STAR,
@@ -26,12 +26,8 @@ FOUR_FAM = UniformFamily.from_element_lists(
 )
 
 
-def mask(n, *elements):
-    return SubsetWord.from_elements(n, elements).bits
-
-
-def sets_of(n, masks):
-    return [SubsetWord(m, n).elements() for m in masks]
+def sets_of(masks):
+    return [elements_of(m) for m in masks]
 
 
 # ------------------------------------------------------------------ star(5,2)
@@ -48,7 +44,7 @@ def test_star_partition_and_anchors():
     assert report.anchors == (1, 2)
     assert report.f1 == () and report.f2 == ()
     assert len(report.f3) == 6
-    got = {SubsetWord(m, 5).elements(): label for m, label in report.classes.items()}
+    got = {elements_of(m): label for m, label in report.classes.items()}
     assert got == {
         (1, 2, 3): H12,
         (1, 2, 4): H12,
@@ -57,13 +53,13 @@ def test_star_partition_and_anchors():
         (1, 3, 5): H0STAR,
         (1, 4, 5): H0STAR,
     }
-    assert sets_of(5, report.index_sets) == [(3,), (4,), (3, 4), (5,), (3, 5), (4, 5)]
+    assert sets_of(report.index_sets) == [(3,), (4,), (3, 4), (5,), (3, 5), (4, 5)]
 
 
 def test_star_full_report_frozen():
     report = run_pipeline(star_family(5, 2), 2)
     n = 5
-    f_by_elems = {SubsetWord(m, n).elements(): image for m, image in report.fmap.items()}
+    f_by_elems = {elements_of(m): image for m, image in report.fmap.items()}
     assert f_by_elems == {
         (1, 2, 3): ((0, 2),),
         (1, 2, 4): ((1, 2),),
@@ -72,7 +68,7 @@ def test_star_full_report_frozen():
         (1, 3, 5): ((4, 2),),
         (1, 4, 5): ((5, 2),),
     }
-    g_by_elems = {SubsetWord(m, n).elements(): i for m, i in report.gmap.items()}
+    g_by_elems = {elements_of(m): i for m, i in report.gmap.items()}
     assert g_by_elems == {
         (1, 2, 3): 0,
         (1, 2, 4): 1,
@@ -98,16 +94,16 @@ def test_four_family_partition_frozen():
     n = 6
     assert report.anchors == (3, 4)
     assert report.pair_collection.pairs == ()
-    assert sets_of(n, report.f2) == [(3, 4, 5)]
+    assert sets_of(report.f2) == [(3, 4, 5)]
     assert report.f1 == ()
-    got = {SubsetWord(m, n).elements(): label for m, label in report.classes.items()}
+    got = {elements_of(m): label for m, label in report.classes.items()}
     assert got == {(1, 3, 4): H12, (2, 3, 5): H11, (2, 4, 5): H11}
-    assert sets_of(n, report.index_sets) == [(1,), (2,), (5,), (2, 5), (6,)]
-    f_by = {SubsetWord(m, n).elements(): image for m, image in report.fmap.items()}
+    assert sets_of(report.index_sets) == [(1,), (2,), (5,), (2, 5), (6,)]
+    f_by = {elements_of(m): image for m, image in report.fmap.items()}
     assert f_by[(1, 3, 4)] == ((0, 2),)
     assert sorted(f_by[(2, 3, 5)]) == [(1, 1), (3, 1)]
     assert sorted(f_by[(2, 4, 5)]) == [(1, 1), (3, 1)]
-    g_by = {SubsetWord(m, n).elements(): i for m, i in report.gmap.items()}
+    g_by = {elements_of(m): i for m, i in report.gmap.items()}
     assert g_by == {(1, 3, 4): 0, (2, 3, 5): 1, (2, 4, 5): 3}
     chain = next(c for c in report.audit.asserted if c[0] == "family_le_f1_f2_chain")
     assert (chain[1], chain[2]) == (4, 6)
@@ -155,12 +151,12 @@ def test_pair_collection_frozen_seed():
     pc = report.pair_collection
     assert len(pc.pairs) == 1
     a, b = pc.pairs[0]
-    assert sets_of(8, [a, b]) == [(1, 2, 6), (2, 4, 6)]
-    assert popcount(a & b) == 2
+    assert sets_of([a, b]) == [(1, 2, 6), (2, 4, 6)]
+    assert (a & b).bit_count() == 2
     assign = report.assign
     ca, cb = assign.assigned[a], assign.assigned[b]
     assert ca | cb == a & b
-    assert popcount(ca & cb) == 0  # d - 2
+    assert (ca & cb).bit_count() == 0  # d - 2
     assert pc.paired == {a, b}
     assert a in set(report.f1) and b in set(report.f1)
 
@@ -177,9 +173,9 @@ def test_pair_invariants_seeded():
             assert a in stratum and b in stratum
             assert not {a, b} & seen, "members reused across pairs"
             seen |= {a, b}
-            assert popcount(a & b) == 2
+            assert (a & b).bit_count() == 2
             assert assign.assigned[a] | assign.assigned[b] == a & b
-            assert popcount(assign.assigned[a] & assign.assigned[b]) == 0
+            assert (assign.assigned[a] & assign.assigned[b]).bit_count() == 0
         # maximality: no unpaired couple still qualifies
         free = sorted(stratum - pc.paired)
         for i, a in enumerate(free):
@@ -206,9 +202,9 @@ def _reference_anchor_pair(assign_g):
     """The anchor rule read literally, on element tuples: the least
     (complement-shadow load, (d-1)-stratum load, (i, j))."""
     n, d = assign_g.family.n, assign_g.d
-    members = [set(w.elements()) for w in assign_g.family.members]
+    members = [set(elements_of(m)) for m in assign_g.family]
     shadow = {frozenset(S) for m in members for S in combinations(sorted(m), d)}
-    stratum = [set(SubsetWord(m, n).elements()) for m in assign_g.strata.get(d - 1, ())]
+    stratum = [set(elements_of(m)) for m in assign_g.strata.get(d - 1, ())]
 
     def loads(e):
         d_sets = [frozenset(S) for S in combinations(range(1, n + 1), d) if e in S]
@@ -236,16 +232,16 @@ def test_class_certificate_invariants_seeded():
         fam = random_maximal_vc_family(FuzzSeed(seed, 9, 2))
         report = run_pipeline(fam, 2)
         i, j = report.anchors
-        ij = mask(9, i, j)
+        ij = mask_of((i, j))
         for m, label in report.classes.items():
             cg = report.assign_g.assigned[m]
             if label in (H0STAR, H11, H12):
-                assert popcount(cg) == 2
-                assert popcount(cg & ij) <= 1
+                assert cg.bit_count() == 2
+                assert (cg & ij).bit_count() <= 1
             if label == H12:
-                assert popcount(m & ij) == 2
+                assert (m & ij).bit_count() == 2
             if label == H11:
-                assert popcount(cg & ij) == 1 and popcount(m & ij) == 1
+                assert (cg & ij).bit_count() == 1 and (m & ij).bit_count() == 1
             if label == H0STAR:
                 assert cg & ij == 0
             if label in (KD, KD1):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_certificates, oracle_ilp_max, oracle_max_family, oracle_vc_le
+from vcx.bitwords import elements_of
 from vcx.errors import UsageError
 from vcx.families import UniformFamily, vc_dimension
 from vcx.search import (
@@ -73,7 +74,7 @@ def test_exact_nodes_are_deterministic():
 def test_witness_mode_hits_targets():
     r = lower_bound_witness(6, 2)
     assert r.target == 11 and r.best >= 11
-    members = [w.elements() for w in witness_family(r).members]
+    members = [elements_of(m) for m in witness_family(r)]
     assert oracle_vc_le(6, members, 2)
 
     r = lower_bound_witness(6, 2, target=6)
@@ -82,7 +83,7 @@ def test_witness_mode_hits_targets():
 
     r = lower_bound_witness(7, 2, target=16)
     assert r.best >= 16
-    assert oracle_vc_le(7, [w.elements() for w in witness_family(r).members], 2)
+    assert oracle_vc_le(7, [elements_of(m) for m in witness_family(r)], 2)
 
 
 def test_witness_mode_needs_a_bracket_or_target():
@@ -96,7 +97,7 @@ def test_order_mode_small_values():
     assert r0.optimal and r2.optimal
     assert r0.best == 10 and r2.best == 10
     for r, s in ((r0, 0), (r2, 2)):
-        sets = [w.elements() for w in witness_family(r).members]
+        sets = [elements_of(m) for m in witness_family(r)]
         assert len(sets) == 10 and _keeps_certificates(sets, s)
 
 
@@ -364,7 +365,7 @@ def test_witness_8_2_reaches_bracket_lower_end():
     r = lower_bound_witness(8, 2)
     assert r.target == search_bracket(8, 2)[0] == 22
     assert r.best == 22
-    assert oracle_vc_le(8, [w.elements() for w in witness_family(r).members], 2)
+    assert oracle_vc_le(8, [elements_of(m) for m in witness_family(r)], 2)
 
 
 def test_cost_guard_refuses_before_enumerating():

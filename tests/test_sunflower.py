@@ -1,6 +1,6 @@
-from vcx.bitwords import k_subset_masks
+from vcx.bitwords import elements_of, k_subset_masks, mask_of
 from vcx.constructions import SplitMix64
-from vcx.families import SubsetWord, UniformFamily
+from vcx.families import UniformFamily
 from vcx.sunflower import Sunflower, find_sunflower, sunflower_threshold, validate_sunflower
 
 
@@ -8,26 +8,23 @@ def fam_of(n, k, *element_lists):
     return UniformFamily.from_element_lists(n, k, element_lists)
 
 
-def flower_of(n, core, petals):
-    return Sunflower(
-        SubsetWord.from_elements(n, core),
-        tuple(SubsetWord.from_elements(n, p) for p in petals),
-    )
+def flower_of(core, petals):
+    return Sunflower(mask_of(core), tuple(mask_of(p) for p in petals))
 
 
 def test_disjoint_family_is_its_own_sunflower():
     fam = fam_of(6, 2, [1, 2], [3, 4], [5, 6])
     flower = find_sunflower(fam, 3)
     assert flower is not None and validate_sunflower(flower)
-    assert flower.core.bits == 0
-    assert {p.elements() for p in flower.petals} == {(1, 2), (3, 4), (5, 6)}
+    assert flower.core == 0
+    assert {elements_of(p) for p in flower.petals} == {(1, 2), (3, 4), (5, 6)}
 
 
 def test_common_element_family():
     fam = fam_of(4, 2, [1, 2], [1, 3], [1, 4])
     flower = find_sunflower(fam, 3)
     assert flower is not None and validate_sunflower(flower)
-    assert flower.core.elements() == (1,)
+    assert elements_of(flower.core) == (1,)
     assert len(flower.petals) >= 3
 
 
@@ -49,9 +46,9 @@ def test_no_sunflower_below_threshold_is_allowed():
 
 
 def test_validate_examples():
-    assert validate_sunflower(flower_of(6, [], [[1, 2], [3, 4], [5, 6]]))
-    assert not validate_sunflower(flower_of(3, [1], [[1, 2], [1, 3], [2, 3]]))
-    assert validate_sunflower(flower_of(3, [1], [[1, 2], [1, 3]]))
+    assert validate_sunflower(flower_of([], [[1, 2], [3, 4], [5, 6]]))
+    assert not validate_sunflower(flower_of([1], [[1, 2], [1, 3], [2, 3]]))
+    assert validate_sunflower(flower_of([1], [[1, 2], [1, 3]]))
 
 
 def test_threshold_values():
