@@ -132,7 +132,6 @@ def test_criterion_4_pipeline_soundness(campaign):
 
 def test_criterion_5_star_worked_example():
     report5 = run_pipeline(star_family(5, 2), 2)
-    n = 5
     classes = {elements_of(m): c for m, c in report5.classes.items()}
     fmap = {elements_of(m): im for m, im in report5.fmap.items()}
     chain = next(c for c in report5.audit.asserted if c[0] == "family_le_f1_f2_chain")

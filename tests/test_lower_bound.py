@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from oracles import oracle_vc_le
+from vcx.bitwords import elements_of
 from vcx.families import UniformFamily
 from vcx.fuzzing import check_family
 from vcx.search import lower_bound_witness
@@ -37,7 +38,7 @@ def test_ak_family_size_vc_and_audit_slack(n, d, slack):
     fam = ak_family(n, d)
     assert len(fam) == comb(n - 1, d) + comb(n - 4, d - 2)
     if n <= 14:
-        lists = [[e for e in range(1, n + 1) if m >> (e - 1) & 1] for m in fam]
+        lists = [list(elements_of(m)) for m in fam]
         assert oracle_vc_le(n, lists, d)
     assert check_family(fam, d).audit_slack == slack
 

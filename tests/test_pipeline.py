@@ -58,7 +58,6 @@ def test_star_partition_and_anchors():
 
 def test_star_full_report_frozen():
     report = run_pipeline(star_family(5, 2), 2)
-    n = 5
     f_by_elems = {elements_of(m): image for m, image in report.fmap.items()}
     assert f_by_elems == {
         (1, 2, 3): ((0, 2),),
@@ -91,7 +90,6 @@ def test_star_full_report_frozen():
 
 def test_four_family_partition_frozen():
     report = run_pipeline(FOUR_FAM, 2)
-    n = 6
     assert report.anchors == (3, 4)
     assert report.pair_collection.pairs == ()
     assert sets_of(report.f2) == [(3, 4, 5)]
