@@ -8,13 +8,14 @@ the fiber structure that the counting pipeline consumes.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 from .bitwords import bit, elements_of, mask_of, set_text
 from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import UniformFamily
-from .traces import compress_trace, occupancy_words, size_layers
+from .traces import Occupancy, compress_trace, occupancy_words, size_layers
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
@@ -29,56 +30,55 @@ MAX_MEMBER_PAIRS = 1 << 24
 class CertificateAssignment:
     """Maximum-certificate assignment for every member, with fibers and strata.
 
-    assigned maps member mask -> certificate mask. fibers groups members by
-    assigned certificate; strata groups them by certificate size. Lists are
-    canonically sorted and dict keys ascend, so equal inputs build equal
-    objects. build_assignment keeps each member's occupancy word and bit
-    positions, so that validate need not recompute them.
+    assigned maps member mask -> certificate mask, and occupancy is the
+    occupancy_words pass over family.masks that the certificates were read
+    from. fibers groups members by assigned certificate and strata groups
+    them by certificate size; both derive from assigned, in canonical member
+    order with ascending keys, so equal inputs build equal objects.
     """
 
     family: UniformFamily
     d: int
-    assigned: dict = field(default_factory=dict)
-    fibers: dict = field(default_factory=dict)
-    strata: dict = field(default_factory=dict)
-    occupancy: dict | None = field(default=None, compare=False, repr=False)
-    positions: dict | None = field(default=None, compare=False, repr=False)
+    assigned: dict
+    occupancy: Occupancy = field(compare=False, repr=False)
+
+    @cached_property
+    def fibers(self) -> dict:
+        return self._grouped(lambda c: c)
+
+    @cached_property
+    def strata(self) -> dict:
+        return self._grouped(int.bit_count)
+
+    def _grouped(self, key) -> dict:
+        groups = {}
+        for m in self.family.masks:
+            groups.setdefault(key(self.assigned[m]), []).append(m)
+        return {g: tuple(v) for g, v in sorted(groups.items())}
 
     def validate(self):
-        """Re-derive everything and fail loudly on any mismatch.
+        """Re-check every certificate and fail loudly on any mismatch.
 
         Each certificate must be a valid one and the canonical choice: no
         unrealized trace is larger or of equal size and canonically earlier.
-        The groupings and the fiber-size facts are checked too.
+        The fiber-size facts are checked too.
         """
-        fam = self.family
-        if set(self.assigned) != set(fam.masks):
+        fam, occ = self.family, self.occupancy
+        if set(self.assigned) != set(fam.masks) or len(occ.words) != len(fam):
             raise InvariantViolation("assignment domain differs from the family")
-        occs, positions = self.occupancy, self.positions
-        if occs is None:
-            occ = occupancy_words(fam.masks, fam.k)
-            occs, positions = dict(zip(fam.masks, occ.words)), dict(zip(fam.masks, occ.positions))
         layers = size_layers(fam.k)
         above = [sum(layers[s + 1 :]) for s in range(fam.k)]  # bits of every larger size
-        regroup_fibers = {}
-        regroup_strata = {}
-        for m in fam.masks:
+        for m, word, positions in zip(fam.masks, occ.words, occ.positions):
             c = self.assigned[m]
             if c & ~m or c == m:
                 raise InvariantViolation(f"assigned {c:#x} is not a proper subset of {m:#x}")
-            ci = compress_trace(c, positions[m])
-            unrealized = ~occs[m]
+            ci = compress_trace(c, positions)
+            unrealized = ~word
             if not unrealized >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
             size = c.bit_count()
             if unrealized & (above[size] | layers[size] & ((1 << ci) - 1)):
                 raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
-            regroup_fibers.setdefault(c, []).append(m)
-            regroup_strata.setdefault(size, []).append(m)
-        if {t: tuple(v) for t, v in sorted(regroup_fibers.items())} != self.fibers:
-            raise InvariantViolation("fiber grouping is inconsistent with assigned")
-        if {s: tuple(v) for s, v in sorted(regroup_strata.items())} != self.strata:
-            raise InvariantViolation("strata grouping is inconsistent with assigned")
         supersets = fam.shadow_count  # d-set -> members containing it
         for t, members in self.fibers.items():
             if t.bit_count() == self.d and (len(members) != 1 or supersets[t] != 1):
@@ -107,27 +107,7 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     occ = occupancy_words(masks, fam.k)
     if None in occ.certificates:
         raise MemberShattered(masks[occ.certificates.index(None)], d)
-    assign = assemble_assignment(fam, d, dict(zip(masks, occ.certificates)))
-    assign.occupancy = dict(zip(masks, occ.words))
-    assign.positions = dict(zip(masks, occ.positions))
-    return assign
-
-
-def assemble_assignment(fam: UniformFamily, d: int, assigned: dict) -> CertificateAssignment:
-    """Package an explicit member->certificate map into fibers and strata."""
-    fibers = {}
-    strata = {}
-    for m in fam.masks:  # canonical member order keeps the groupings sorted
-        c = assigned[m]
-        fibers.setdefault(c, []).append(m)
-        strata.setdefault(c.bit_count(), []).append(m)
-    return CertificateAssignment(
-        family=fam,
-        d=d,
-        assigned=dict(assigned),
-        fibers={t: tuple(v) for t, v in sorted(fibers.items())},
-        strata={s: tuple(v) for s, v in sorted(strata.items())},
-    )
+    return CertificateAssignment(fam, d, dict(zip(masks, occ.certificates)), occ)
 
 
 def fiber_bound(d: int) -> int:

@@ -327,7 +327,7 @@ def cmd_sunflower(args, fam):
     if flower is None:
         lines = [
             f"no {args.p}-sunflower found "
-            f"(size {len(fam)} < threshold {payload['threshold']} is allowed to miss)"
+            f"(size {len(fam)} <= threshold {payload['threshold']} is allowed to miss)"
         ]
     else:
         lines = [f"{args.p}-sunflower with core {{{elements_text(flower.core)}}}"]

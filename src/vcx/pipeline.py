@@ -26,7 +26,6 @@ from .certificates import (
     SINGLETON,
     TRIANGLE,
     CertificateAssignment,
-    assemble_assignment,
     build_assignment,
     fiber_shape_elements,
 )
@@ -72,7 +71,6 @@ class PartitionReport:
     d: int
     assign: CertificateAssignment
     pair_collection: PairCollection
-    g_members: tuple
     assign_g: CertificateAssignment
     anchors: tuple
     v_mask: int
@@ -90,42 +88,41 @@ class PartitionReport:
 
 
 def build_pair_collection(assign: CertificateAssignment) -> PairCollection:
-    """Scan ordered pairs of the (d-1) stratum, keep both-unused matches with
-    c(F) | c(F') == F & F', and repeat passes until a full pass adds nothing."""
+    """Scan ordered pairs of the (d-1) stratum and keep both-unused matches
+    with c(F) | c(F') == F & F'.
+
+    One pass is maximal: a member left unpaired was unpaired, with every
+    later member that is still unpaired, when its own scan found no match.
+    """
     d = assign.d
     members = assign.strata.get(d - 1, ())
     cert = assign.assigned
     paired = set()
     pairs = []
-    while True:
-        added = False
-        for i, fa in enumerate(members):
-            if fa in paired:
+    for i, fa in enumerate(members):
+        if fa in paired:
+            continue
+        for fb in members[i + 1 :]:
+            if fb in paired:
                 continue
-            for fb in members[i + 1 :]:
-                if fb in paired:
-                    continue
-                if cert[fa] | cert[fb] == fa & fb:
-                    inter = fa & fb
-                    if inter.bit_count() != d:
-                        raise InvariantViolation(
-                            f"paired members intersect in {inter.bit_count()} != d elements"
-                        )
-                    if (cert[fa] & cert[fb]).bit_count() != d - 2:
-                        raise InvariantViolation("paired certificates must share d-2 elements")
-                    pairs.append((fa, fb))
-                    paired.add(fa)
-                    paired.add(fb)
-                    added = True
-                    break
-        if not added:
-            break
+            if cert[fa] | cert[fb] == fa & fb:
+                inter = fa & fb
+                if inter.bit_count() != d:
+                    raise InvariantViolation(
+                        f"paired members intersect in {inter.bit_count()} != d elements"
+                    )
+                if (cert[fa] & cert[fb]).bit_count() != d - 2:
+                    raise InvariantViolation("paired certificates must share d-2 elements")
+                pairs.append((fa, fb))
+                paired.add(fa)
+                paired.add(fb)
+                break
     return PairCollection(tuple(pairs), frozenset(paired))
 
 
 def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     """Drop the paired members from the top two strata and recompute maximum
-    certificates inside the survivor family.
+    certificates inside the survivor family G; returns G's assignment.
 
     A member whose maximum certificate inside the survivors still has size d-1
     keeps its original certificate (that choice is what makes the later
@@ -140,9 +137,8 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     sub = UniformFamily(fam.n, fam.k, keep)
     occ = occupancy_words(sub.masks, sub.k)
     cg = {}
-    for m, size, cert, word, pos in zip(
-        sub.masks, occ.sizes, occ.certificates, occ.words, occ.positions
-    ):
+    for m, cert, word, pos in zip(sub.masks, occ.certificates, occ.words, occ.positions):
+        size = None if cert is None else cert.bit_count()
         if size == d:
             cg[m] = cert
             continue
@@ -161,9 +157,9 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
                 f"original certificate of {m:#x} is realized inside the survivors"
             )
         cg[m] = old
-    assign_g = assemble_assignment(sub, d, cg)
+    assign_g = CertificateAssignment(sub, d, cg, occ)
     _check_certificate_zones(assign_g)
-    return sub.masks, assign_g
+    return assign_g
 
 
 def _check_certificate_zones(assign_g: CertificateAssignment):
@@ -254,7 +250,7 @@ def partition_family(
     elif assign.family != fam or assign.d != d:
         raise UsageError("the given assignment belongs to a different family or d")
     pc = build_pair_collection(assign)
-    g_members, assign_g = build_g_and_reassign(assign, pc)
+    assign_g = build_g_and_reassign(assign, pc)
     i, j = select_anchor_pair(assign_g)
     ij = (1 << (i - 1)) | (1 << (j - 1))
     v_mask = ((1 << fam.n) - 1) & ~ij
@@ -265,7 +261,7 @@ def partition_family(
 
     f2 = []
     f3 = []
-    for m in g_members:
+    for m in assign_g.family.masks:
         c = cg[m]
         in_gd1_anchor = c.bit_count() == d - 1 and m & ij
         in_gij = (m & ij) == ij and (c & ~ij).bit_count() <= d - 2
@@ -310,7 +306,6 @@ def partition_family(
         d=d,
         assign=assign,
         pair_collection=pc,
-        g_members=g_members,
         assign_g=assign_g,
         anchors=(i, j),
         v_mask=v_mask,

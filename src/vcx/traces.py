@@ -52,14 +52,14 @@ def size_layers(k: int) -> tuple[int, ...]:
     return tuple(size_layer_mask(k, s) for s in range(k))
 
 
-def largest_unrealized(occ: int, layers) -> tuple[int, int] | None:
-    """(size, compressed index) of the largest unrealized proper trace, the
+def largest_unrealized(occ: int, layers) -> int | None:
+    """Compressed index of the largest unrealized proper trace, the
     canonically least of its size; layers = size_layers(k). None when every
     proper trace is realized."""
-    for size in range(len(layers) - 1, -1, -1):
-        free = layers[size] & ~occ
+    for layer in reversed(layers):
+        free = layer & ~occ
         if free:
-            return size, (free & -free).bit_length() - 1
+            return (free & -free).bit_length() - 1
     return None
 
 
@@ -85,20 +85,19 @@ class Occupancy(NamedTuple):
     """occupancy_words' result: one entry per member, in input order.
 
     certificates holds each member's canonical maximum certificate as a mask
-    (the least unrealized proper trace of the largest size) and sizes its
-    size; both are None for a shattered member, which has no certificate.
+    (the least unrealized proper trace of the largest size), or None for a
+    shattered member, which has no certificate.
     """
 
     positions: list  # positions_of(mask) per member
     words: list  # occupancy word per member, self-trace included
-    sizes: list
     certificates: list
 
 
 def occupancy_words(masks, k: int) -> Occupancy:
     """Positions, occupancy word and canonical certificate of every member."""
     if len(masks) == 0:
-        return Occupancy([], [], [], [])
+        return Occupancy([], [], [])
     if 1 <= k <= _NUMPY_MAX_K:
         return _occupancy_numpy(masks, k)
     return _occupancy_python(masks, k)
@@ -107,18 +106,16 @@ def occupancy_words(masks, k: int) -> Occupancy:
 @lru_cache(maxsize=None)
 def _preference(k: int):
     """The proper traces in canonical preference order (larger first, then
-    lower compressed index) plus a sentinel, with their sizes and the bit
-    shifts that decode an index. The sentinel, bit 63, is clear in every
-    word, so it is the first clear bit of a shattered member."""
+    lower compressed index) plus a sentinel, and the bit shifts that decode
+    an index. The sentinel, bit 63, is clear in every word, so it is the
+    first clear bit of a shattered member."""
     order = sorted(range((1 << k) - 1), key=lambda c: (-c.bit_count(), c))
-    sizes = [c.bit_count() for c in order]
-    order = np.array(order + [63], dtype=np.int64)
-    return order, np.array(sizes + [-1], dtype=np.int64), np.arange(k, dtype=np.int64)[:, None]
+    return np.array(order + [63], dtype=np.int64), np.arange(k, dtype=np.int64)[:, None]
 
 
 def _occupancy_numpy(masks, k: int) -> Occupancy:
     m = len(masks)
-    order, order_sizes, shifts = _preference(k)
+    order, shifts = _preference(k)
     arr = np.array(masks, dtype=np.int64)
     bits = (arr[:, None] >> _BIT_INDEX[: max(masks).bit_length()]).astype(np.uint8)
     bits &= 1
@@ -139,28 +136,24 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     rank = ((occ[:, None] >> order) & 1).argmin(axis=1)
     index = order[rank]
     cert = ((index >> shifts & 1) << pos).sum(axis=0)
-    sizes = order_sizes[rank].tolist()
     certs = cert.tolist()
-    if -1 in sizes:
-        for i, size in enumerate(sizes):
-            if size == -1:
-                sizes[i] = certs[i] = None
-    return Occupancy(list(map(tuple, pos.T.tolist())), occ.tolist(), sizes, certs)
+    if rank.max() == len(order) - 1:  # a shattered member's sentinel decodes to the member
+        certs = [None if c == mask else c for c, mask in zip(certs, masks)]
+    return Occupancy(list(map(tuple, pos.T.tolist())), occ.tolist(), certs)
 
 
 def _occupancy_python(masks, k: int) -> Occupancy:
     positions = [positions_of(m) for m in masks]
     layers = size_layers(k)
-    words, sizes, certs = [], [], []
+    words, certs = [], []
     for mask, pos in zip(masks, positions):
         occ = 0
         for other in masks:
             occ |= 1 << compress_trace(other & mask, pos)
         best = largest_unrealized(occ, layers)
         words.append(occ)
-        sizes.append(None if best is None else best[0])
-        certs.append(None if best is None else expand_index(best[1], pos))
-    return Occupancy(positions, words, sizes, certs)
+        certs.append(None if best is None else expand_index(best, pos))
+    return Occupancy(positions, words, certs)
 
 
 class TraceTracker:

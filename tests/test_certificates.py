@@ -10,7 +10,7 @@ from vcx.certificates import (
     CHERRY,
     SINGLETON,
     TRIANGLE,
-    assemble_assignment,
+    CertificateAssignment,
     build_assignment,
     classify_fiber,
     fiber_bound,
@@ -108,7 +108,7 @@ def test_assignment_validate_catches_non_canonical_choice():
                 continue
             assigned = dict(assign.assigned)
             assigned[F] = top[1]
-            custom = assemble_assignment(fam, 2, assigned)
+            custom = CertificateAssignment(fam, 2, assigned, assign.occupancy)
             with pytest.raises(InvariantViolation, match="canonical"):
                 custom.validate()
             swapped += 1

@@ -131,6 +131,18 @@ def test_table_output_is_pinned(tmp_path):
         assert proc.stdout == text, argv[0]
 
 
+@pytest.mark.parametrize("text, p, line", [
+    ("3 1\n2\n", "2", "no 2-sunflower found (size 1 <= threshold 1 is allowed to miss)\n"),
+    ("3 1\n", "1", "no 1-sunflower found (size 0 <= threshold 0 is allowed to miss)\n"),
+], ids=["one-member", "empty"])
+def test_sunflower_miss_names_the_threshold_it_is_allowed_under(tmp_path, text, p, line):
+    # a miss is allowed only while size <= k!(p-1)^k; the guarantee needs size > threshold
+    (tmp_path / "f.fam").write_text(text)
+    proc = run_cli("sunflower", "--input", "f.fam", "--p", p, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == line
+
+
 def test_gen_random_is_seed_deterministic(tmp_path):
     a, b = tmp_path / "a.fam", tmp_path / "b.fam"
     run_cli("gen", "--kind", "random", "--n", "7", "--d", "2", "--seed", "9", "--out", str(a))

@@ -160,20 +160,22 @@ def test_pair_collection_frozen_seed():
 
 
 def test_pair_invariants_seeded():
-    for seed, n in [(13, 8), (7, 9), (49, 10)]:
-        fam = random_maximal_vc_family(FuzzSeed(seed, n, 2))
-        assign = build_assignment(fam, 2)
+    # at d = 3 paired certificates share d - 2 = 1 element, not none
+    for seed, n, d in [(13, 8, 2), (7, 9, 2), (49, 10, 2), (1, 9, 3), (10, 10, 3)]:
+        fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
+        assign = build_assignment(fam, d)
         pc = build_pair_collection(assign)
-        stratum = set(assign.strata.get(1, ()))
+        assert len(pc.pairs) == 1, (seed, n, d)  # found by seed scan
+        stratum = set(assign.strata.get(d - 1, ()))
         seen = set()
         for a, b in pc.pairs:
             assert a < b
             assert a in stratum and b in stratum
             assert not {a, b} & seen, "members reused across pairs"
             seen |= {a, b}
-            assert (a & b).bit_count() == 2
+            assert (a & b).bit_count() == d
             assert assign.assigned[a] | assign.assigned[b] == a & b
-            assert (assign.assigned[a] & assign.assigned[b]).bit_count() == 0
+            assert (assign.assigned[a] & assign.assigned[b]).bit_count() == d - 2
         # maximality: no unpaired couple still qualifies
         free = sorted(stratum - pc.paired)
         for i, a in enumerate(free):
