@@ -57,6 +57,7 @@ def walkthrough(fam, d):
     print("\naudit (each line checked exactly):")
     for name, lhs, rhs, ok in report.audit.asserted:
         print(f"  {name}: {lhs} <= {rhs}  [{'ok' if ok else 'VIOLATED'}]")
+    print(f"  slack of the chain: {report.audit.slack}")
     for key, value in sorted(report.audit.reported.items()):
         if isinstance(value, Fraction):
             value = f"{value.numerator}/{value.denominator}"

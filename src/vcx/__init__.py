@@ -22,7 +22,6 @@ from .errors import InvariantViolation, MemberShattered, UsageError, VcxError
 from .famfile import dump_family, format_family, load_family, parse_family
 from .fuzzing import CampaignSummary, FamilyCheck, check_family, fuzz_campaign
 from .families import (
-    ShadowSet,
     UniformFamily,
     complement_shadow,
     frankl_pach_bound,

@@ -257,9 +257,9 @@ def cmd_shadow(args, fam):
         )
     level = fam
     while level.k > args.r + 1:
-        level = UniformFamily(fam.n, level.k - 1, shadow(level).members)
+        level = UniformFamily(fam.n, level.k - 1, shadow(level))
     sh = complement_shadow(level) if args.complement else shadow(level)
-    members = [elements_of(m) for m in sh.members]
+    members = [elements_of(m) for m in sh]
     payload = {
         "n": fam.n,
         "r": args.r,
@@ -269,7 +269,7 @@ def cmd_shadow(args, fam):
     }
     label = "complement shadow" if args.complement else "shadow"
     lines = [f"{label} at r={args.r}: {len(members)} sets"]
-    lines += ["  " + elements_text(m) for m in sh.members]
+    lines += ["  " + elements_text(m) for m in sh]
     return payload, lines, 0
 
 
@@ -362,14 +362,13 @@ def _audit_payload(report) -> dict:
 def cmd_pipeline(args, fam):
     report = run_pipeline(fam, args.d, assume_vc=args.assume_vc)
     audit = report.audit
-    chain = next(c for c in audit.asserted if c[0] == "family_le_f1_f2_chain")
     lines = [
         f"partition at d={args.d}: |F1|={audit.f1_size} |F2|={audit.f2_size} "
         f"|F3|={audit.f3_size} of {audit.f_size}",
         f"anchors {report.anchors}, index family size {audit.index_size}",
-        f"audit: {chain[1]} <= {audit.f1_size} + {audit.f2_size} "
-        f"+ {audit.binom_n1_d} - {audit.comp_shadow_f3_v} = {chain[2]}"
-        + ("  [tight]" if chain[1] == chain[2] else ""),
+        f"audit: {audit.f_size} <= {audit.f1_size} + {audit.f2_size} "
+        f"+ {audit.binom_n1_d} - {audit.comp_shadow_f3_v} = {audit.f_size + audit.slack}"
+        + ("  [tight]" if audit.slack == 0 else ""),
         f"max column sum: {report.max_column} half-units",
     ]
     return _audit_payload(report), lines, 0

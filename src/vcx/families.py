@@ -92,22 +92,6 @@ class UniformFamily:
         return i < len(self.masks) and self.masks[i] == mask
 
 
-@dataclass(frozen=True)
-class ShadowSet:
-    """The (k-1)-sets below a k-uniform family, or their complement in C([n], k-1)."""
-
-    n: int
-    k: int
-    members: tuple[int, ...]
-    complement: bool
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
 def is_shattered(S: int, fam: UniformFamily) -> bool:
     """Whether every subset of S occurs as a trace of some member on S."""
     if S < 0 or S >> fam.n:
@@ -155,20 +139,19 @@ def vc_dimension(fam: UniformFamily) -> int:
     return cap
 
 
-def shadow(fam: UniformFamily) -> ShadowSet:
-    """All (k-1)-sets contained in at least one member."""
+def shadow(fam: UniformFamily) -> tuple[int, ...]:
+    """All (k-1)-sets contained in at least one member, ascending."""
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
-    return ShadowSet(fam.n, fam.k, tuple(sorted(fam.shadow_count)), complement=False)
+    return tuple(sorted(fam.shadow_count))
 
 
-def complement_shadow(fam: UniformFamily) -> ShadowSet:
-    """The (k-1)-sets of [n] missing from the shadow."""
+def complement_shadow(fam: UniformFamily) -> tuple[int, ...]:
+    """The (k-1)-sets of [n] missing from the shadow, ascending."""
     if fam.k == 0:
         raise UsageError("shadow of a 0-uniform family is undefined")
     present = fam.shadow_count
-    words = tuple(b for b in k_subset_masks(fam.n, fam.k - 1) if b not in present)
-    return ShadowSet(fam.n, fam.k, words, complement=True)
+    return tuple(b for b in k_subset_masks(fam.n, fam.k - 1) if b not in present)
 
 
 def sauer_shelah_bound(n: int, d: int) -> int:

@@ -81,7 +81,6 @@ def check_family(fam: UniformFamily, d: int, seed: int = -1) -> FamilyCheck:
     classes: dict = {}
     for label in report.classes.values():
         classes[label] = classes.get(label, 0) + 1
-    chain = next(c for c in report.audit.asserted if c[0] == "family_le_f1_f2_chain")
 
     return FamilyCheck(
         seed=seed,
@@ -93,7 +92,7 @@ def check_family(fam: UniformFamily, d: int, seed: int = -1) -> FamilyCheck:
         shapes=shapes,
         classes=classes,
         max_column=report.max_column,
-        audit_slack=chain[2] - chain[1],
+        audit_slack=report.audit.slack,
     )
 
 

@@ -13,7 +13,7 @@ All family members and index sets are plain bit-word ints here; the report
 converts to element tuples at the JSON boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -61,8 +61,14 @@ class BoundAudit:
     comp_shadow_f3_v: int
     comp_shadow_g_v: int
     binom_n1_d: int
-    asserted: list = field(default_factory=list)  # (name, lhs, rhs, ok)
-    reported: dict = field(default_factory=dict)
+    asserted: list  # (name, lhs, rhs, ok)
+    reported: dict
+
+    @property
+    def slack(self) -> int:
+        """|F1| + |F2| + C(n-1, d) - |comp-shadow(F3) within V| - |F|: the
+        chain's room, 0 when the bound is tight."""
+        return self.f1_size + self.f2_size + self.binom_n1_d - self.comp_shadow_f3_v - self.f_size
 
 
 @dataclass
@@ -80,6 +86,7 @@ class PartitionReport:
     classes: dict  # member mask -> class label
     index_sets: tuple  # the index family S, canonical order
     index_of: dict  # mask -> position in index_sets
+    # the later stages' results, put on by run_pipeline
     fmap: dict | None = None  # member mask -> ((index, half-units), ...)
     column_sums: dict | None = None
     max_column: int | None = None
@@ -260,35 +267,30 @@ def partition_family(
     f1 = sorted(set(low_strata) | pc.paired)
 
     f2 = []
-    f3 = []
+    classes = {}  # F3 member -> label, in G's ascending order
     for m in assign_g.family.masks:
         c = cg[m]
-        in_gd1_anchor = c.bit_count() == d - 1 and m & ij
-        in_gij = (m & ij) == ij and (c & ~ij).bit_count() <= d - 2
+        size = c.bit_count()
+        meet = m & ij
+        in_gd1_anchor = size == d - 1 and meet
+        in_gij = meet == ij and (c & ~ij).bit_count() <= d - 2
         if in_gd1_anchor or in_gij:
             f2.append(m)
-        else:
-            f3.append(m)
-
-    classes = {}
-    for m in f3:
-        c = cg[m]
-        if m & ij == 0:
-            classes[m] = KD if c.bit_count() == d else KD1
-            continue
-        if c.bit_count() != d:
+        elif not meet:
+            classes[m] = KD if size == d else KD1
+        elif size != d:
             raise InvariantViolation(
-                f"member {m:#x} meets the anchors with a size-{c.bit_count()} certificate"
+                f"member {m:#x} meets the anchors with a size-{size} certificate"
             )
-        ci = (c & ij).bit_count()
-        if ci > 1:
-            raise InvariantViolation(f"member {m:#x} has both anchors inside its certificate")
-        if ci == 0:
+        elif c & ij == 0:
             classes[m] = H0STAR
-        elif (m & ij).bit_count() == 1:
+        elif (c & ij).bit_count() > 1:
+            raise InvariantViolation(f"member {m:#x} has both anchors inside its certificate")
+        elif meet.bit_count() == 1:
             classes[m] = H11
         else:
             classes[m] = H12
+    f3 = tuple(classes)
 
     if set(f1) | set(f2) | set(f3) != set(fam.masks) or len(f1) + len(f2) + len(f3) != len(
         fam.masks
@@ -297,7 +299,7 @@ def partition_family(
 
     # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow
     index_sets = list(_v_subsets(v_mask, d - 1))
-    index_sets += [s for s in UniformFamily(fam.n, fam.k, tuple(f3)).shadow_count if not s & ij]
+    index_sets += [s for s in UniformFamily(fam.n, fam.k, f3).shadow_count if not s & ij]
     index_sets.sort()
     index_of = {s: pos for pos, s in enumerate(index_sets)}
 
@@ -311,7 +313,7 @@ def partition_family(
         v_mask=v_mask,
         f1=tuple(f1),
         f2=tuple(f2),
-        f3=tuple(f3),
+        f3=f3,
         classes=classes,
         index_sets=tuple(index_sets),
         index_of=index_of,
@@ -325,8 +327,8 @@ def _v_subsets(v_mask: int, size: int):
         yield expand_index(sub, positions)
 
 
-def build_f(report: PartitionReport) -> PartitionReport:
-    """Fill in the coefficient-vector map on F3.
+def build_f(report: PartitionReport) -> dict:
+    """The coefficient-vector map on F3: member mask -> ((index, half-units), ...).
 
     Every member gets total mass 2 half-units on one or two index sets; which
     sets depends on its class, and for the (d-1)-certificate members inside V
@@ -345,27 +347,22 @@ def build_f(report: PartitionReport) -> PartitionReport:
             raise InvariantViolation(f"{context}: image {mask:#x} outside the index family") from None
 
     h11_by_vpart = {}
-    for m, label in report.classes.items():
-        if label == H11:
-            h11_by_vpart.setdefault(cg[m] & v, []).append(m)
-
     kd1_fibers = {}
-    for m, label in report.classes.items():
-        if label == KD1:
-            kd1_fibers.setdefault(cg[m], []).append(m)
-
     fmap = {}
-    for m in report.f3:
-        label = report.classes[m]
+    for m, label in report.classes.items():
+        c = cg[m]
         if label in (H0STAR, KD):
-            fmap[m] = ((index(cg[m], label), 2),)
+            fmap[m] = ((index(c, label), 2),)
         elif label == H12:
             fmap[m] = ((index(m & v, label), 2),)
         elif label == H11:
+            h11_by_vpart.setdefault(c & v, []).append(m)
             fmap[m] = (
                 (index(m & v, label), 1),
-                (index(cg[m] & v, label), 1),
+                (index(c & v, label), 1),
             )
+        else:
+            kd1_fibers.setdefault(c, []).append(m)
     for t, fiber in sorted(kd1_fibers.items()):
         fiber.sort()
         kind, elems = fiber_shape_elements(t, fiber)
@@ -387,8 +384,7 @@ def build_f(report: PartitionReport) -> PartitionReport:
             fmap[fiber[0]] = _singleton_image(
                 report, t, fiber[0], elems, h11_by_vpart.get(t, ()), index
             )
-    report.fmap = fmap
-    return report
+    return fmap
 
 
 def _singleton_image(report, t: int, member: int, elems, hits, index):
@@ -443,14 +439,13 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
     return ((index(t | bit(b), "singleton fiber, aligned sharers"), 2),)
 
 
-def verify_column_sums(report: PartitionReport) -> PartitionReport:
-    """Column sums of the coefficient vectors, each at most 2 half-units."""
-    if report.fmap is None:
-        raise UsageError("build_f must run before verify_column_sums")
+def verify_column_sums(report: PartitionReport, fmap: dict) -> tuple:
+    """Column sums of the coefficient vectors, each at most 2 half-units;
+    returns (index position -> column sum, ascending; the largest sum)."""
     sums = {}
     for m in report.f3:
         total = 0
-        for pos, half in report.fmap[m]:
+        for pos, half in fmap[m]:
             target = report.index_sets[pos]
             if target & ~m:
                 raise InvariantViolation(
@@ -463,34 +458,30 @@ def verify_column_sums(report: PartitionReport) -> PartitionReport:
     worst = max(sums.values(), default=0)
     if worst > 2:
         raise InvariantViolation(f"column sum {worst} exceeds 2 half-units")
-    report.column_sums = dict(sorted(sums.items()))
-    report.max_column = worst
-    return report
+    return dict(sorted(sums.items())), worst
 
 
-def build_injection_g(report: PartitionReport) -> PartitionReport:
-    """Upgrade f to an injection F3 -> index family.
+def build_injection_g(f3: tuple, fmap: dict) -> dict:
+    """Upgrade f to an injection F3 -> index family: member mask -> index position.
 
     Unit-image members keep their image; the half-half members are matched to
     the pool of indices their supports touch, in canonical order on both
     sides. Column sums <= 2 make the pool big enough and keep it disjoint
     from the unit images.
     """
-    if report.column_sums is None:
-        raise UsageError("verify_column_sums must run before build_injection_g")
     unit_members = []
     split_members = []
-    for m in report.f3:
-        if len(report.fmap[m]) == 1:
+    for m in f3:
+        if len(fmap[m]) == 1:
             unit_members.append(m)
         else:
             split_members.append(m)
-    u1 = {report.fmap[m][0][0] for m in unit_members}
+    u1 = {fmap[m][0][0] for m in unit_members}
     if len(u1) != len(unit_members):
         raise InvariantViolation("two unit-image members share an index")
     pool_usage = {}
     for m in split_members:
-        for pos, _ in report.fmap[m]:
+        for pos, _ in fmap[m]:
             pool_usage[pos] = pool_usage.get(pos, 0) + 1
     u2 = sorted(pool_usage)
     if u1 & set(u2):
@@ -500,19 +491,16 @@ def build_injection_g(report: PartitionReport) -> PartitionReport:
             raise InvariantViolation(f"index {pos} supports {used} > 2 half-half members")
     if len(split_members) > len(u2):
         raise InvariantViolation("half-half members outnumber their index pool")
-    gmap = {m: report.fmap[m][0][0] for m in unit_members}
+    gmap = {m: fmap[m][0][0] for m in unit_members}
     for m, pos in zip(sorted(split_members), u2):
         gmap[m] = pos
     if len(set(gmap.values())) != len(gmap):
         raise InvariantViolation("injection has a collision")
-    report.gmap = dict(sorted(gmap.items()))
-    return report
+    return dict(sorted(gmap.items()))
 
 
-def audit_bound(report: PartitionReport) -> PartitionReport:
-    """Assert the exact counting chain and attach the reported-only ratios."""
-    if report.gmap is None:
-        raise UsageError("build_injection_g must run before audit_bound")
+def audit_bound(report: PartitionReport) -> BoundAudit:
+    """Assert the exact counting chain; the audit also carries the reported-only ratios."""
     fam = report.family
     n, d = fam.n, report.d
     v = report.v_mask
@@ -525,7 +513,31 @@ def audit_bound(report: PartitionReport) -> PartitionReport:
     comp_shadow_f3_v = comb(n - 2, d) - f3_in_v_shadow
     comp_shadow_g_v = comb(n - 2, d) - sum(1 for s in g_shadow if s & ~v == 0)
 
-    audit = BoundAudit(
+    checks = [
+        ("f3_le_index_family", len(report.f3), len(report.index_sets)),
+        (
+            "family_le_f1_f2_chain",
+            len(fam),
+            len(report.f1) + len(report.f2) + comb(n - 1, d) - comp_shadow_f3_v,
+        ),
+    ]
+    asserted = []
+    for name, lhs, rhs in checks:
+        ok = lhs <= rhs
+        asserted.append((name, lhs, rhs, ok))
+        if not ok:
+            raise InvariantViolation(f"audit check {name} failed: {lhs} > {rhs}")
+
+    reported = {
+        "f1_f2_size": len(report.f1) + len(report.f2),
+        "comp_shadow_f": comp_shadow_f,
+        "tenth_comp_shadow_f": Fraction(comp_shadow_f, 10),
+        "pair_member_count": len(report.pair_collection.paired),
+        "pair_threshold": Fraction(400 * d * d * n ** max(d - 2, 0), n ** max(2 - d, 0)),
+        "corollary_lhs": comp_shadow_f,
+        "corollary_rhs": Fraction(10 * (comb(n - 1, d) - len(fam)), 9),
+    }
+    return BoundAudit(
         f_size=len(fam),
         f1_size=len(report.f1),
         f2_size=len(report.f2),
@@ -535,42 +547,19 @@ def audit_bound(report: PartitionReport) -> PartitionReport:
         comp_shadow_f3_v=comp_shadow_f3_v,
         comp_shadow_g_v=comp_shadow_g_v,
         binom_n1_d=comb(n - 1, d),
+        asserted=asserted,
+        reported=reported,
     )
-
-    checks = [
-        ("f3_le_index_family", len(report.f3), len(report.index_sets)),
-        (
-            "family_le_f1_f2_chain",
-            len(fam),
-            len(report.f1) + len(report.f2) + comb(n - 1, d) - comp_shadow_f3_v,
-        ),
-    ]
-    for name, lhs, rhs in checks:
-        ok = lhs <= rhs
-        audit.asserted.append((name, lhs, rhs, ok))
-        if not ok:
-            raise InvariantViolation(f"audit check {name} failed: {lhs} > {rhs}")
-
-    audit.reported = {
-        "f1_f2_size": len(report.f1) + len(report.f2),
-        "comp_shadow_f": comp_shadow_f,
-        "tenth_comp_shadow_f": Fraction(comp_shadow_f, 10),
-        "pair_member_count": len(report.pair_collection.paired),
-        "pair_threshold": Fraction(400 * d * d * n ** max(d - 2, 0), n ** max(2 - d, 0)),
-        "corollary_lhs": comp_shadow_f,
-        "corollary_rhs": Fraction(10 * (comb(n - 1, d) - len(fam)), 9),
-    }
-    report.audit = audit
-    return report
 
 
 def run_pipeline(
     fam: UniformFamily, d: int, assume_vc: bool = False, assign: CertificateAssignment | None = None
 ) -> PartitionReport:
-    """partition_family + build_f + verify_column_sums + injection + audit."""
+    """partition_family + build_f + verify_column_sums + injection + audit,
+    each stage's result put on the report."""
     report = partition_family(fam, d, assume_vc=assume_vc, assign=assign)
-    build_f(report)
-    verify_column_sums(report)
-    build_injection_g(report)
-    audit_bound(report)
+    report.fmap = build_f(report)
+    report.column_sums, report.max_column = verify_column_sums(report, report.fmap)
+    report.gmap = build_injection_g(report.f3, report.fmap)
+    report.audit = audit_bound(report)
     return report

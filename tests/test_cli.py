@@ -119,12 +119,21 @@ PINNED_TABLES = [
      "anchors (1, 7), index family size 33\n"
      "audit: 26 <= 0 + 2 + 36 - 3 = 35\n"
      "max column sum: 2 half-units\n"),
+    (["pipeline", "--input", "star.fam", "--d", "2"],
+     "partition at d=2: |F1|=0 |F2|=0 |F3|=6 of 6\n"
+     "anchors (1, 2), index family size 6\n"
+     "audit: 6 <= 0 + 0 + 6 - 0 = 6  [tight]\n"
+     "max column sum: 2 half-units\n"),
+    (["shadow", "--input", "f.fam", "--r", "1"],
+     "shadow at r=1: 10 sets\n" + "".join(f"  {e}\n" for e in range(1, 11))),
 ]
 
 
 def test_table_output_is_pinned(tmp_path):
     gen = PINNED_DIGESTS[0][1]
     assert run_cli("gen", *gen, cwd=tmp_path).returncode == 0
+    star = ["--kind", "star", "--n", "5", "--d", "2", "--out", "star.fam"]
+    assert run_cli("gen", *star, cwd=tmp_path).returncode == 0
     for argv, text in PINNED_TABLES:
         proc = run_cli(*argv, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr

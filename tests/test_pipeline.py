@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -16,9 +17,12 @@ from vcx.pipeline import (
     H12,
     KD,
     KD1,
+    build_f,
+    build_injection_g,
     build_pair_collection,
     partition_family,
     run_pipeline,
+    verify_column_sums,
 )
 
 FOUR_FAM = UniformFamily.from_element_lists(
@@ -82,6 +86,7 @@ def test_star_full_report_frozen():
     assert audit.binom_n1_d == 6 and audit.comp_shadow_f3_v == 0
     chain = next(c for c in audit.asserted if c[0] == "family_le_f1_f2_chain")
     assert (chain[1], chain[2], chain[3]) == (6, 6, True)
+    assert audit.slack == chain[2] - chain[1]
     assert audit.reported["pair_threshold"] == Fraction(1600)
 
 
@@ -106,6 +111,43 @@ def test_four_family_partition_frozen():
     chain = next(c for c in report.audit.asserted if c[0] == "family_le_f1_f2_chain")
     assert (chain[1], chain[2]) == (4, 6)
     assert report.audit.comp_shadow_f3_v == 5
+
+
+# ------------------------------------------------------- stage invariants
+
+
+def _star_stages():
+    """star(5,2) partitioned, its f, and member masks by element tuple."""
+    report = partition_family(star_family(5, 2), 2)
+    return report, build_f(report), {elements_of(m): m for m in report.f3}
+
+
+def test_column_sums_reject_a_column_of_three_half_units():
+    report, fmap, by = _star_stages()
+    # {1,3,4} moves a half-unit onto column 0, which {1,2,3} already fills with 2
+    fmap[by[(1, 3, 4)]] = ((0, 1), (2, 1))
+    with pytest.raises(InvariantViolation, match="column sum 3"):
+        verify_column_sums(report, fmap)
+
+
+def test_column_sums_reject_a_member_of_one_half_unit():
+    report, fmap, by = _star_stages()
+    fmap[by[(1, 3, 4)]] = ((2, 1),)
+    with pytest.raises(InvariantViolation, match="mass 1"):
+        verify_column_sums(report, fmap)
+
+
+def test_injection_rejects_unit_images_that_share_an_index():
+    report, fmap, by = _star_stages()
+    fmap[by[(1, 3, 4)]] = fmap[by[(1, 2, 3)]]
+    with pytest.raises(InvariantViolation, match="share an index"):
+        build_injection_g(report.f3, fmap)
+
+
+def test_build_f_rejects_an_image_outside_the_index_family():
+    report, _, _ = _star_stages()
+    with pytest.raises(InvariantViolation, match="outside the index family"):
+        build_f(dataclasses.replace(report, index_of={}))
 
 
 # -------------------------------------------------------------------- corners
@@ -316,3 +358,5 @@ def test_check_family_wide_outputs_are_pinned(n, d, seed):
     got_audit = (report.anchors, audit.comp_shadow_g, audit.comp_shadow_g_v,
                  audit.reported["comp_shadow_f"], audit.index_size)
     assert (got, got_audit) == WIDE_PINNED[(n, d, seed)]
+    chain = next(c for c in audit.asserted if c[0] == "family_le_f1_f2_chain")
+    assert audit.slack == chain[2] - chain[1]
