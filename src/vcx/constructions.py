@@ -8,6 +8,8 @@ stdlib random module.
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .bitwords import k_subset_masks
 from .errors import UsageError
 from .families import UniformFamily
@@ -30,10 +32,7 @@ class SplitMix64:
 
     def next64(self) -> int:
         self.state = (self.state + _SM_GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _SM_MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM_MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def below(self, bound: int) -> int:
         if bound <= 0:
@@ -41,9 +40,27 @@ class SplitMix64:
         return self.next64() % bound
 
     def shuffle(self, items: list):
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates in place, with the draws of below(i + 1) for i from
+        len - 1 down to 1. Draw r mixes the counter state + r * gamma, so all
+        the draws are mixed in one numpy pass."""
+        draws = len(items) - 1
+        if draws <= 0:
+            return
+        steps = np.arange(1, draws + 1, dtype=np.uint64)
+        counters = steps * np.uint64(_SM_GAMMA) + np.uint64(self.state)
+        bounds = np.arange(draws + 1, 1, -1, dtype=np.uint64)
+        picks = (_mix(counters) % bounds).tolist()
+        self.state = (self.state + draws * _SM_GAMMA) & _MASK64
+        for i, j in zip(range(draws, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
+
+
+def _mix(z):
+    """The split-mix 64 finalizer, on a Python int or a uint64 numpy array
+    (array products wrap mod 2**64, so the mask is a no-op there)."""
+    z = ((z ^ (z >> 30)) * _SM_MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM_MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,16 @@ class BoundAudit:
 
     @property
     def slack(self) -> int:
-        """|F1| + |F2| + C(n-1, d) - |comp-shadow(F3) within V| - |F|: the
-        chain's room, 0 when the bound is tight."""
-        return self.f1_size + self.f2_size + self.binom_n1_d - self.comp_shadow_f3_v - self.f_size
+        """The chain's right side minus |F|: its room, 0 when the bound is tight."""
+        return (
+            _chain_rhs(self.f1_size, self.f2_size, self.binom_n1_d, self.comp_shadow_f3_v)
+            - self.f_size
+        )
+
+
+def _chain_rhs(f1_size: int, f2_size: int, binom_n1_d: int, comp_shadow_f3_v: int) -> int:
+    """|F1| + |F2| + C(n-1, d) - |comp-shadow(F3) within V|: the chain's right side."""
+    return f1_size + f2_size + binom_n1_d - comp_shadow_f3_v
 
 
 @dataclass
@@ -88,7 +95,6 @@ class PartitionReport:
     index_of: dict  # mask -> position in index_sets
     # the later stages' results, put on by run_pipeline
     fmap: dict | None = None  # member mask -> ((index, half-units), ...)
-    column_sums: dict | None = None
     max_column: int | None = None
     gmap: dict | None = None  # member mask -> index position
     audit: BoundAudit | None = None
@@ -439,9 +445,9 @@ def _singleton_image(report, t: int, member: int, elems, hits, index):
     return ((index(t | bit(b), "singleton fiber, aligned sharers"), 2),)
 
 
-def verify_column_sums(report: PartitionReport, fmap: dict) -> tuple:
+def verify_column_sums(report: PartitionReport, fmap: dict) -> int:
     """Column sums of the coefficient vectors, each at most 2 half-units;
-    returns (index position -> column sum, ascending; the largest sum)."""
+    returns the largest sum."""
     sums = {}
     for m in report.f3:
         total = 0
@@ -458,7 +464,7 @@ def verify_column_sums(report: PartitionReport, fmap: dict) -> tuple:
     worst = max(sums.values(), default=0)
     if worst > 2:
         raise InvariantViolation(f"column sum {worst} exceeds 2 half-units")
-    return dict(sorted(sums.items())), worst
+    return worst
 
 
 def build_injection_g(f3: tuple, fmap: dict) -> dict:
@@ -518,7 +524,7 @@ def audit_bound(report: PartitionReport) -> BoundAudit:
         (
             "family_le_f1_f2_chain",
             len(fam),
-            len(report.f1) + len(report.f2) + comb(n - 1, d) - comp_shadow_f3_v,
+            _chain_rhs(len(report.f1), len(report.f2), comb(n - 1, d), comp_shadow_f3_v),
         ),
     ]
     asserted = []
@@ -559,7 +565,7 @@ def run_pipeline(
     each stage's result put on the report."""
     report = partition_family(fam, d, assume_vc=assume_vc, assign=assign)
     report.fmap = build_f(report)
-    report.column_sums, report.max_column = verify_column_sums(report, report.fmap)
+    report.max_column = verify_column_sums(report, report.fmap)
     report.gmap = build_injection_g(report.f3, report.fmap)
     report.audit = audit_bound(report)
     return report

@@ -42,6 +42,27 @@ def test_shuffle_is_a_permutation_and_deterministic():
     assert c != a
 
 
+def _reference_shuffle(rng, items):
+    """Fisher-Yates driven by below(), one draw per position from the top."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_shuffle_matches_scalar_fisher_yates():
+    # the last seed makes the counter wrap past 2**64 on its first draw
+    for seed in (0, 42, 2**63 + 12345, 2**64 - 1):
+        for length in (0, 1, 2, 3, 56, 1001, 3276):
+            want = list(range(length))
+            ref = SplitMix64(seed)
+            _reference_shuffle(ref, want)
+            got = list(range(length))
+            rng = SplitMix64(seed)
+            rng.shuffle(got)
+            assert got == want, (seed, length)
+            assert rng.next64() == ref.next64(), (seed, length)
+
+
 def test_star_families():
     fam = star_family(5, 2)
     assert [elements_of(m) for m in fam] == [

@@ -304,13 +304,14 @@ def test_coefficient_masses_and_ownership_seeded():
     for seed in range(20):
         fam = random_maximal_vc_family(FuzzSeed(seed, 9, 2))
         report = run_pipeline(fam, 2)
+        columns = {}
         for m, image in report.fmap.items():
             assert sum(units for _, units in image) == 2
             for idx, units in image:
                 assert units in (1, 2)
                 assert report.index_sets[idx] & ~m == 0, "index set outside member"
-        for idx, total in report.column_sums.items():
-            assert total <= 2
+                columns[idx] = columns.get(idx, 0) + units
+        assert max(columns.values(), default=0) == report.max_column <= 2
         g_values = list(report.gmap.values())
         assert len(set(g_values)) == len(g_values), "g not injective"
         assert all(0 <= i < len(report.index_sets) for i in g_values)
