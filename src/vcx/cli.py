@@ -39,6 +39,7 @@ from .certificates import (
 )
 from .constructions import (
     MAX_GEN_CANDIDATES,
+    MAX_THREADS,
     FuzzSeed,
     complete_family,
     random_maximal_vc_family,
@@ -178,8 +179,9 @@ def make_parser() -> Parser:
         "--threads",
         type=_at_least(1),
         default=1,
-        help="worker processes (default 1); a search with --max-nodes, or one a short "
-        "serial probe settles, stays serial; workers start where the probe stopped",
+        help=f"worker processes (default 1, at most {MAX_THREADS}); a search with "
+        "--max-nodes, or one a short serial probe settles, stays serial; workers "
+        "start where the probe stopped",
     )
 
     fz = _command(subs, "fuzz", "seeded campaign asserting every invariant")
@@ -189,7 +191,12 @@ def make_parser() -> Parser:
     fz.add_argument("--seed0", type=int, default=0)
     fz.add_argument("--artifacts", default="fuzz-artifacts", help="failure dump directory")
     fz.add_argument("--replay", default=None, help="replay a dumped failure manifest")
-    fz.add_argument("--threads", type=_at_least(1), default=1, help="worker processes (default 1)")
+    fz.add_argument(
+        "--threads",
+        type=_at_least(1),
+        default=1,
+        help=f"worker processes (default 1, at most {MAX_THREADS})",
+    )
 
     return p
 

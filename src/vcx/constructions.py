@@ -22,6 +22,9 @@ _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
 # most k-subsets a generator lists; larger requests are refused up front
 MAX_GEN_CANDIDATES = 1 << 18
+# most worker processes a fuzz campaign or search starts: a process pool forks
+# all of its workers at once, so a larger request is refused before any starts
+MAX_THREADS = 64
 
 
 class SplitMix64:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .certificates import build_assignment, classify_fiber, fiber_size_histogram
-from .constructions import FuzzSeed, random_maximal_vc_family
+from .constructions import MAX_THREADS, FuzzSeed, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
 from .families import UniformFamily
 from .famfile import format_family
@@ -164,10 +164,13 @@ def fuzz_campaign(
     results do not depend on `threads`. Failures are collected rather than
     raised; callers decide whether a nonempty failure list is fatal. A d the
     pipeline cannot check is refused before the first seed, so it is never
-    filed as a failure of every family.
+    filed as a failure of every family; threads above MAX_THREADS is refused
+    before any worker starts.
     """
     if d < 1:
         raise UsageError(f"fuzz needs d >= 1, got d={d}")
+    if threads > MAX_THREADS:
+        raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
     t0 = time.monotonic()
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)

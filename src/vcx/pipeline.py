@@ -13,6 +13,7 @@ All family members and index sets are plain bit-word ints here; the report
 converts to element tuples at the JSON boundary.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -134,21 +135,29 @@ def build_pair_collection(assign: CertificateAssignment) -> PairCollection:
 
 
 def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
-    """Drop the paired members from the top two strata and recompute maximum
+    """Drop the paired members and the strata below d-1, and recompute maximum
     certificates inside the survivor family G; returns G's assignment.
 
     A member whose maximum certificate inside the survivors still has size d-1
     keeps its original certificate (that choice is what makes the later
     disjointness argument work); a member that can now do size d takes the
     canonical least size-d certificate.
+
+    When nothing is dropped, G is F itself and its occupancy is the pass the
+    assignment carries, so F's cached shadow counts serve G too; a second
+    occupancy pass runs only when pairing or the low strata drop members.
+    Either way every survivor goes through the checks below.
     """
     fam = assign.family
     d = assign.d
     keep = tuple(
         m for m in fam.masks if assign.assigned[m].bit_count() >= d - 1 and m not in pc.paired
     )
-    sub = UniformFamily(fam.n, fam.k, keep)
-    occ = occupancy_words(sub.masks, sub.k)
+    if len(keep) == len(fam):
+        sub, occ = fam, assign.occupancy
+    else:
+        sub = UniformFamily(fam.n, fam.k, keep)
+        occ = occupancy_words(sub.masks, sub.k)
     cg = {}
     for m, cert, word, pos in zip(sub.masks, occ.certificates, occ.words, occ.positions):
         size = None if cert is None else cert.bit_count()
@@ -303,9 +312,11 @@ def partition_family(
     ):
         raise InvariantViolation("partition is not exact")
 
-    # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow
+    # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow: F3 is G
+    # without F2
     index_sets = list(_v_subsets(v_mask, d - 1))
-    index_sets += [s for s in UniformFamily(fam.n, fam.k, f3).shadow_count if not s & ij]
+    f3_shadow = _shadow_count_without(assign_g.family, f2)
+    index_sets += [s for s, c in f3_shadow.items() if c and not s & ij]
     index_sets.sort()
     index_of = {s: pos for pos, s in enumerate(index_sets)}
 
@@ -324,6 +335,19 @@ def partition_family(
         index_sets=tuple(index_sets),
         index_of=index_of,
     )
+
+
+def _shadow_count_without(fam: UniformFamily, removed) -> Counter:
+    """fam's shadow counts with the members in removed taken out, on a copy:
+    fam.shadow_count stays as it is. A set left with count 0 is off the shadow."""
+    counts = fam.shadow_count.copy()
+    for m in removed:
+        rest = m
+        while rest:
+            low = rest & -rest
+            counts[m ^ low] -= 1
+            rest ^= low
+    return counts
 
 
 def _v_subsets(v_mask: int, size: int):

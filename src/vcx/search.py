@@ -89,7 +89,7 @@ from functools import lru_cache
 from math import comb
 
 from .bitwords import k_subset_masks, positions_of, submasks
-from .constructions import star_family
+from .constructions import MAX_THREADS, star_family
 from .errors import InvariantViolation, UsageError
 from .families import UniformFamily, vc_dimension
 from .traces import (
@@ -434,6 +434,8 @@ def _search(
     """
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
+    if threads > MAX_THREADS:
+        raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
     if n > 63:
         raise UsageError(f"ground set {n} exceeds 63")
     cands = comb(n, d + 1)

@@ -9,6 +9,8 @@ call counts the benchmark reports per checked family are pinned here too.
 import importlib.util
 import os
 
+import pytest
+
 from vcx import fuzzing
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
 
@@ -32,14 +34,30 @@ def test_tracer_binds_every_entry_point():
         tracer.uninstall()
 
 
-def test_check_family_runs_one_assignment_and_two_occupancy_passes():
-    """One pass for F inside build_assignment, one for the survivor family G;
+@pytest.mark.parametrize(
+    "seed, passes",
+    [
+        (FuzzSeed(0, 20, 2), 1),
+        (FuzzSeed(2, 8, 2), 2),
+        (FuzzSeed(700001, 8, 3), 2),
+        (FuzzSeed(13, 8, 2), 2),
+    ],
+    ids=["nothing-dropped", "low-stratum-dropped", "low-strata-dropped", "pairs-dropped"],
+)
+def test_check_family_runs_one_assignment_and_a_second_occupancy_pass_only_on_drops(
+    seed, passes
+):
+    """One occupancy pass for F inside build_assignment. The survivor family G
+    is F itself when nothing is dropped (the (20,2) family); it takes a pass
+    of its own only when pairing or the strata below d-1 drop members: the
+    (8,2) seed-2 family drops 1 of 21 members and the (8,3) family 25 of 39 to
+    the low strata, and the (8,2) seed-13 family also pairs away 2 members.
     validate reads the words the assignment carries and recomputes none."""
-    fam = random_maximal_vc_family(FuzzSeed(0, 20, 2))
+    fam = random_maximal_vc_family(seed)
     tracer = _load_tracer().Tracer()
     with tracer.installed():
-        fuzzing.check_family(fam, 2)
+        fuzzing.check_family(fam, seed.d)
     totals = tracer.totals()
-    assert totals["traces.occupancy_words"].calls == 2
+    assert totals["traces.occupancy_words"].calls == passes
     assert totals["certificates.build_assignment"].calls == 1
     assert totals["certificates.CertificateAssignment.validate"].calls == 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 import vcx
 from vcx import cli, fuzzing
 from vcx.certificates import MAX_MEMBER_PAIRS
-from vcx.constructions import FuzzSeed, random_maximal_vc_family
+from vcx.constructions import MAX_THREADS, FuzzSeed, random_maximal_vc_family
 from vcx.errors import InvariantViolation
 from vcx.famfile import format_family, load_family
 from vcx.fuzzing import dump_failure_artifact
@@ -351,6 +352,32 @@ def test_search_flags_of_another_mode_are_refused(args, word):
     proc = run_cli("search", "--n", "6", "--d", "2", *args)
     assert_usage_error(proc, word)
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """A ProcessPoolExecutor that fails the test if anything constructs one."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a process pool was constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuzz", "--n", "8", "--d", "2", "--count", "1"], ["search", "--n", "6", "--d", "2"]],
+    ids=["fuzz", "search"],
+)
+def test_threads_above_the_cap_are_refused_before_any_process(argv, no_process_pool, capsys):
+    assert cli.main([*argv, "--threads", str(MAX_THREADS + 1)]) == 1
+    assert f"exceed the limit of {MAX_THREADS}" in capsys.readouterr().err
+
+
+def test_search_at_the_thread_cap_runs(no_process_pool, capsys):
+    # (6,2) settles inside the serial probe, so the cap itself starts no pool
+    assert cli.main(["search", "--n", "6", "--d", "2", "--threads", str(MAX_THREADS)]) == 0
+    assert "best=13 optimal=True" in capsys.readouterr().out
 
 
 def test_search_cost_guard_refuses_huge_instance():

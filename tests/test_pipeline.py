@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from oracles import mask_from, oracle_certificates, oracle_shadow_count
 from vcx.bitwords import elements_of, mask_of
 from vcx.certificates import build_assignment
 from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
@@ -298,6 +299,51 @@ def test_partition_exactness_seeded():
         assert not (f1 & f2) and not (f1 & f3) and not (f2 & f3)
         assert f1 | f2 | f3 == set(fam.masks)
         assert set(report.classes) == f3
+
+
+# (8,2) seed 2 drops 1 of 21 members and (8,3) seed 700001 25 of 39, all from
+# the strata below d-1; (8,2) seed 13 also pairs away 2 members; (20,2) seed 0
+# drops nothing. At (8,2) seeds 3 (nothing dropped) and 31 (members dropped),
+# an F2 member puts a d-set of V in G's shadow that F3's lacks. Found by seed
+# scan.
+SURVIVOR_SEEDS = [FuzzSeed(2, 8, 2), FuzzSeed(700001, 8, 3), FuzzSeed(13, 8, 2),
+                  FuzzSeed(0, 20, 2), FuzzSeed(3, 8, 2), FuzzSeed(31, 8, 2)]
+SURVIVOR_SEEDS += [FuzzSeed(seed, 9, 2) for seed in range(8)]
+SURVIVOR_SEEDS += [FuzzSeed(seed, 9, 3) for seed in range(4)]
+
+
+def test_survivor_family_and_f3_shadow_match_the_oracles():
+    """G is F itself when nothing is dropped, and F3's index sets come from
+    G's shadow counts; both are held to the brute-force oracles on element
+    tuples, and F's cached shadow counts must survive the run unchanged."""
+    dropped_cases = 0
+    for seed in SURVIVOR_SEEDS:
+        fam = random_maximal_vc_family(seed)
+        d = seed.d
+        report = run_pipeline(fam, d)
+        ij = mask_of(report.anchors)
+        f3_shadow = oracle_shadow_count(sets_of(report.f3))
+        assert {elements_of(s) for s in report.index_sets if s.bit_count() == d} == {
+            t for t in f3_shadow if not mask_from(t) & ij
+        }, seed
+        assert {elements_of(s): c for s, c in fam.shadow_count.items()} == oracle_shadow_count(
+            sets_of(fam.masks)
+        ), seed
+        g = report.assign_g
+        if not report.f1:
+            assert g.family is report.family, seed
+            assert g.occupancy is report.assign.occupancy, seed
+            continue
+        dropped_cases += 1
+        survivors = sets_of(g.family.masks)
+        for m, c in g.assigned.items():
+            if c.bit_count() != d:
+                continue
+            unrealized = oracle_certificates(elements_of(m), survivors)
+            top = max(map(len, unrealized))
+            assert top == d, (seed, m)
+            assert c == min(mask_from(t) for t in unrealized if len(t) == top), (seed, m)
+    assert 0 < dropped_cases < len(SURVIVOR_SEEDS)
 
 
 def test_coefficient_masses_and_ownership_seeded():
