@@ -6,6 +6,7 @@ stdlib random module.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -111,9 +112,16 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
     if n > 63:
         raise UsageError(f"ground set {n} exceeds 63")
     _check_cost(n, d + 1)
-    candidates = list(k_subset_masks(n, d + 1))
+    candidates = list(_candidate_masks(n, d + 1))
     SplitMix64(fseed.seed).shuffle(candidates)
     tracker = TraceTracker(n, d + 1)
     for cand in candidates:
         tracker.try_add(cand)
     return UniformFamily.from_masks(n, d + 1, tracker.masks())
+
+
+@lru_cache(maxsize=32)
+def _candidate_masks(n: int, k: int) -> tuple[int, ...]:
+    """Every k-subset of [n] in canonical order, listed once per (n, k) for
+    the generator, which shuffles a copy."""
+    return tuple(k_subset_masks(n, k))

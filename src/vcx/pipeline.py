@@ -143,8 +143,8 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     disjointness argument work); a member that can now do size d takes the
     canonical least size-d certificate.
 
-    When nothing is dropped, G is F itself and its occupancy is the pass the
-    assignment carries, so F's cached shadow counts serve G too; a second
+    When nothing is dropped, G is F itself and its assignment is F's, with
+    the occupancy pass, strata and shadow counts already built; a second
     occupancy pass runs only when pairing or the low strata drop members.
     Either way every survivor goes through the checks below.
     """
@@ -179,7 +179,13 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
                 f"original certificate of {m:#x} is realized inside the survivors"
             )
         cg[m] = old
-    assign_g = CertificateAssignment(sub, d, cg, occ)
+    # with nothing dropped, a canonical assignment reassigns to itself: the
+    # same pass picks the size-d certificates and every other member keeps its
+    # own, so F's assignment, strata already grouped, serves as G's
+    if sub is fam and cg == assign.assigned:
+        assign_g = assign
+    else:
+        assign_g = CertificateAssignment(sub, d, cg, occ)
     _check_certificate_zones(assign_g)
     return assign_g
 

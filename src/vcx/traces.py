@@ -12,10 +12,16 @@ certificate, the least unrealized proper trace of the largest size. Above
 that width the same result comes from plain Python, which is also the
 reference the tests hold the numpy pass to. TraceTracker, the generator's
 incremental form, is plain Python: it indexes the members with one proper
-trace left, so most rejections cost a few dict lookups.
+trace left, so most rejections cost a few dict lookups. A candidate that
+passes that test is checked against every member, by a walk over per-member
+trace sets while the family stays small, and by splitting member bitsets on
+the candidate's elements from BITSET_MIN_CANDIDATES candidate k-sets up,
+where the walk's cost, linear in the family, dominates generation.
 """
 
 from functools import lru_cache
+from math import comb
+from operator import xor
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +32,11 @@ from .errors import InvariantViolation
 # the batch numpy path packs occupancy into uint32, so it needs 2^k <= 32 bits
 _NUMPY_MAX_K = 5
 _BIT_INDEX = np.arange(63, dtype=np.int64)
+# TraceTracker keeps its members as bitsets from this many candidate k-sets
+# C(n, k) up, and walks a set of traces per member below it. Measured
+# crossover (2-vCPU Xeon, CPython 3.11): (16,2), 560 candidates, generates
+# faster on the walk, (17,2), 680, on bitsets; (18,3), 3,060, in half the time
+BITSET_MIN_CANDIDATES = 600
 
 
 def full_trace_bit(k: int) -> int:
@@ -163,23 +174,46 @@ class TraceTracker:
     proper subset unrealized as a trace (i.e. keeps a certificate). There is
     no removal: the generator only ever grows its family.
 
-    Each member keeps the set of traces realized on it (its occupancy word in
-    set form, self-trace included), so its memory grows with the traces seen,
-    not with 2^k. G realizes at most one new trace on each member F, namely
-    G & F, so G kills F exactly when F is critical, with a single unrealized
-    proper trace T, and G & F == T. The critical index maps T to those
-    members, which makes the kill test one lookup per proper submask of G.
-    The index is exact because traces only accumulate: a member, once
-    critical, stays critical with the same T until something kills it, and
-    try_add never commits a kill.
+    G realizes at most one new trace on each member F, namely G & F, so G
+    kills F exactly when F is critical, with a single unrealized proper trace
+    T, and G & F == T. The critical index maps T to those members, which
+    makes the kill test one lookup per proper submask of G. The index is exact
+    because traces only accumulate: a member, once critical, stays critical
+    with the same T until something kills it, and try_add never commits a
+    kill; a commit that leaves a member with no unrealized proper trace raises
+    InvariantViolation.
+
+    A candidate that passes the kill test is checked and committed in one of
+    two member representations, chosen once from C(n, k):
+
+    - the set walk (below BITSET_MIN_CANDIDATES candidates): each member keeps
+      the set of traces realized on it, self-trace included; a candidate
+      builds the set of its traces over every member, and a commit walks
+      every member again. Its cost grows with the family.
+    - member bitsets (at or above it): member i is bit i of Python ints.
+      has[x] holds the members that contain element x and miss[t] those that
+      still lack proper trace t; each member keeps its count of missing
+      traces. Splitting the member bitset on G's k elements yields, for every
+      t within G, the members whose trace on G is t, in 2^(k+1) - 2 AND/XOR
+      operations whatever the family size, and a commit touches only the
+      members that gain a trace. The constant overhead loses on small
+      families, which the set walk serves.
+
+    Both make the same decisions, so the family grown is the same.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self._masks = []
-        self._realized = []  # per member, the set of traces realized on it
         self._critical = {}  # T -> members whose only unrealized proper trace is T
+        if comb(n, k) < BITSET_MIN_CANDIDATES:
+            self._has = None
+            self._realized = []  # per member, the set of traces realized on it
+        else:
+            self._has = {1 << x: 0 for x in range(n)}  # element bit -> members holding it
+            self._miss = {}  # proper trace t -> members that contain t and lack it
+            self._missing = []  # per member, how many proper traces it lacks
 
     def masks(self) -> list[int]:
         return list(self._masks)
@@ -192,6 +226,11 @@ class TraceTracker:
             for F in critical.get(T, ()):
                 if G & F == T:
                     return False
+        if self._has is None:
+            return self._add_walk(G)
+        return self._add_bits(G)
+
+    def _add_walk(self, G: int) -> bool:
         own = {F & G for F in self._masks}
         own.add(G)
         everything = 1 << self.k
@@ -215,4 +254,65 @@ class TraceTracker:
         T = F
         while T in realized:
             T = (T - 1) & F
+        self._critical.setdefault(T, []).append(F)
+
+    def _add_bits(self, G: int) -> bool:
+        has = self._has
+        # parts[c]: the members whose trace on G has compressed index c, bit j
+        # of c standing for G's j-th lowest element; the last part, G itself, is
+        # empty and dropped
+        parts = [(1 << len(self._masks)) - 1]
+        rest = G
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit = list(map(has[low].__and__, parts))
+            parts = list(map(xor, parts, hit)) + hit
+        parts.pop()
+        if all(parts):
+            return False
+        miss, missing, masks = self._miss, self._missing, self._masks
+        i = len(masks)
+        bit = 1 << i
+        lacks = []  # the proper traces G lacks
+        traces, rest = [0], G  # traces[c]: the trace with compressed index c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            has[low] |= bit
+            traces += [t | low for t in traces]
+        for t, part in zip(traces, parts):
+            if not part:
+                lacks.append(t)
+                miss[t] = miss.get(t, 0) | bit
+                continue
+            gained = part & miss.get(t, 0)
+            if not gained:
+                continue
+            miss[t] ^= gained
+            while gained:
+                low = gained & -gained
+                gained ^= low
+                j = low.bit_length() - 1
+                left = missing[j] - 1
+                missing[j] = left
+                if left <= 1:
+                    self._mark_critical_bit(masks[j], j, left)
+        masks.append(G)
+        missing.append(len(lacks))
+        if len(lacks) == 1:
+            self._critical.setdefault(lacks[0], []).append(G)
+        return True
+
+    def _mark_critical_bit(self, F: int, j: int, left: int):
+        """Index member j (mask F) under the one proper trace it lacks, or
+        raise when a commit realized its last one."""
+        if not left:
+            raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
+        miss = self._miss
+        T = F
+        while True:
+            T = (T - 1) & F
+            if miss.get(T, 0) >> j & 1:
+                break
         self._critical.setdefault(T, []).append(F)

@@ -8,10 +8,11 @@ call counts the benchmark reports per checked family are pinned here too.
 
 import importlib.util
 import os
+from math import comb
 
 import pytest
 
-from vcx import fuzzing
+from vcx import fuzzing, traces
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -32,6 +33,21 @@ def test_tracer_binds_every_entry_point():
         assert tracer.unbound == []
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize(
+    "seed", [FuzzSeed(0, 8, 2), FuzzSeed(0, 20, 2)], ids=["set-walk", "bitsets"]
+)
+def test_tracer_counts_every_candidate_of_both_tracker_representations(seed):
+    """Every candidate goes through TraceTracker.try_add, the one traced entry
+    point, whichever member representation C(n, d+1) picks: 56 candidates
+    for (8,2) stay on the set walk and 1,140 for (20,2) take bitsets."""
+    k = seed.d + 1
+    assert (comb(seed.n, k) >= traces.BITSET_MIN_CANDIDATES) == (seed.n == 20)
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        random_maximal_vc_family(seed)
+    assert tracer.totals()["traces.TraceTracker.try_add"].calls == comb(seed.n, k)
 
 
 @pytest.mark.parametrize(

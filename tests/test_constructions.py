@@ -118,7 +118,8 @@ def test_random_maximal_size_stays_below_complete_bound():
 
 
 # sha256 prefix of the sorted member masks over seeds 0..4 of each acceptance
-# cell, plus two wide cells at seed 0; pinned so generator rewrites stay exact
+# cell, plus the five check_wide cells at seed 0, where TraceTracker keeps its
+# members as bitsets; pinned so generator rewrites stay exact
 PINNED_DIGESTS = {
     (8, 2): "210708341c76a6d4",
     (9, 2): "46013b4715f632db",
@@ -135,6 +136,9 @@ PINNED_DIGESTS = {
     (13, 3): "c116d29e11885329",
     (14, 3): "20a9c24073b175da",
     (20, 2): "42ff7a22e764af8a",
+    (24, 2): "d90df91d7353f3d4",
+    (28, 2): "ea36fffbef130861",
+    (16, 3): "9419781fa677def8",
     (18, 3): "eba44eaf3456a100",
 }
 

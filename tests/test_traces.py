@@ -1,9 +1,11 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcx import traces
 from vcx.bitwords import elements_of, k_subset_masks, positions_of
 from vcx.constructions import SplitMix64
+from vcx.errors import InvariantViolation
 from vcx.traces import (
     TraceTracker,
     _occupancy_numpy,
@@ -124,8 +126,48 @@ def test_occupancy_semantics_by_hand():
     assert realized == want
 
 
+REPRESENTATIONS = ["set-walk", "bitsets"]
+
+
+def _tracker(n, k, representation):
+    """A TraceTracker in the given member representation: the threshold at 0
+    puts every size on bitsets, and the small sizes here stay on the set walk
+    under the module's own threshold."""
+    with pytest.MonkeyPatch.context() as mp:
+        if representation == "bitsets":
+            mp.setattr(traces, "BITSET_MIN_CANDIDATES", 0)
+        tracker = TraceTracker(n, k)
+    assert (tracker._has is not None) == (representation == "bitsets")
+    return tracker
+
+
+def _grow_both(n, k, candidates, want):
+    """Offer the candidates to a tracker of each representation in lockstep;
+    each verdict must equal want(kept, cand). Returns the members kept."""
+    trackers = {r: _tracker(n, k, r) for r in REPRESENTATIONS}
+    kept = []
+    for cand in candidates:
+        ok = want(kept, cand)
+        for name, tracker in trackers.items():
+            assert tracker.try_add(cand) == ok, f"{name}: cand {cand:#x} after {kept}"
+        if ok:
+            kept.append(cand)
+    for tracker in trackers.values():
+        assert tracker.masks() == kept
+    return kept
+
+
+def _oracle_verdict(n, d):
+    def want(kept, cand):
+        elems = [tuple(e + 1 for e in range(n) if m >> e & 1) for m in kept + [cand]]
+        return oracle_vc_le(n, elems, d)
+
+    return want
+
+
 def test_tracker_matches_oracle_on_random_sequences():
-    """try_add accepts exactly the additions that keep VC <= d (oracle-checked)."""
+    """try_add accepts exactly the additions that keep VC <= d (oracle-checked),
+    in both member representations."""
     rng = SplitMix64(99)
     for trial in range(12):
         n = 5 + rng.below(3)
@@ -133,49 +175,48 @@ def test_tracker_matches_oracle_on_random_sequences():
         k = d + 1
         pool = list(k_subset_masks(n, k))
         rng.shuffle(pool)
-        tracker = TraceTracker(n, k)
-        kept = []
-        for cand in pool[:18]:
-            elems = [tuple(e + 1 for e in range(n) if m >> e & 1) for m in kept + [cand]]
-            ok_oracle = oracle_vc_le(n, elems, d)
-            got = tracker.try_add(cand)
-            assert got == ok_oracle, f"trial {trial}: cand {cand:#x}"
-            if got:
-                kept.append(cand)
-        assert tracker.masks() == kept
+        _grow_both(n, k, pool[:18], _oracle_verdict(n, d))
 
 
 def test_tracker_k6_matches_oracle():
-    """k = 6 exceeds the batch numpy occupancy width; the tracker has no such limit."""
+    """k = 6 exceeds the batch numpy occupancy width; the tracker has no such
+    limit in either representation."""
     rng = SplitMix64(1234)
     n, k = 9, 6
     pool = list(k_subset_masks(n, k))
     rng.shuffle(pool)
-    tracker = TraceTracker(n, k)
-    kept = []
-    for cand in pool[:12]:
-        elems = [tuple(e + 1 for e in range(n) if m >> e & 1) for m in kept + [cand]]
-        got = tracker.try_add(cand)
-        assert got == oracle_vc_le(n, elems, k - 1), f"cand {cand:#x}"
-        if got:
-            kept.append(cand)
-    assert tracker.masks() == kept
+    _grow_both(n, k, pool[:12], _oracle_verdict(n, k - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_tracker_agrees_with_recheck_from_scratch(data):
-    """Each try_add verdict equals a fresh occupancy check of kept + [G]."""
+    """Each try_add verdict, in both representations, equals a fresh
+    occupancy check of kept + [G]."""
     k = data.draw(st.integers(1, 6), label="k")
     n = data.draw(st.integers(k, k + 4), label="n")
     order = data.draw(st.permutations(list(k_subset_masks(n, k))), label="order")
     proper = proper_trace_mask(k)
-    tracker = TraceTracker(n, k)
-    kept = []
-    for cand in order[:30]:
-        occs = occupancy_words(kept + [cand], k).words
-        want = all(occ & proper != proper for occ in occs)
-        assert tracker.try_add(cand) == want, f"cand {cand:#x} after {kept}"
-        if want:
-            kept.append(cand)
-    assert tracker.masks() == kept
+
+    def want(kept, cand):
+        return all(occ & proper != proper for occ in occupancy_words(kept + [cand], k).words)
+
+    _grow_both(n, k, order[:30], want)
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_tracker_commit_that_kills_a_member_raises(representation):
+    """Drop a critical member from the critical index, so the kill test misses
+    it, and commit a candidate that kills it: the commit must refuse to leave
+    a member with every trace realized. The six members after {1,2,3} realize
+    each of its proper traces but {}, and {7,8,9} realizes {} on it while
+    missing no other member's last trace."""
+    tracker = _tracker(9, 3, representation)
+    members = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 3, 6), (1, 4, 5), (2, 4, 6), (3, 5, 6)]
+    for m in members:
+        assert tracker.try_add(mask_from(m))
+    victim = mask_from((1, 2, 3))
+    assert tracker._critical[0] == [victim]
+    tracker._critical[0].remove(victim)
+    with pytest.raises(InvariantViolation, match="a kill was missed"):
+        tracker.try_add(mask_from((7, 8, 9)))
