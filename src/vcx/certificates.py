@@ -15,14 +15,16 @@ from .bitwords import bit, elements_of, mask_of, set_text
 from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import UniformFamily
-from .traces import Occupancy, compress_trace, occupancy_words, size_layers
+from .traces import Occupancy, compress_trace, first_unrealized, occupancy_words
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
 SINGLETON = "SINGLETON"
 
 # |F|^2 bound for build_assignment: the numpy occupancy path holds |F| x |F|
-# temporaries, 128 MiB of int64 at the limit (4,096 members)
+# temporaries; at the limit (4,096 members) that is 16 MiB of uint8 compressed
+# traces plus their words, 64 MiB of uint32 up to k = 5 and 128 MiB of uint64
+# at k = 6
 MAX_MEMBER_PAIRS = 1 << 24
 
 
@@ -66,18 +68,14 @@ class CertificateAssignment:
         fam, occ = self.family, self.occupancy
         if set(self.assigned) != set(fam.masks) or len(occ.words) != len(fam):
             raise InvariantViolation("assignment domain differs from the family")
-        layers = size_layers(fam.k)
-        above = [sum(layers[s + 1 :]) for s in range(fam.k)]  # bits of every larger size
         for m, word, positions in zip(fam.masks, occ.words, occ.positions):
             c = self.assigned[m]
             if c & ~m or c == m:
                 raise InvariantViolation(f"assigned {c:#x} is not a proper subset of {m:#x}")
             ci = compress_trace(c, positions)
-            unrealized = ~word
-            if not unrealized >> ci & 1:
+            if word >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
-            size = c.bit_count()
-            if unrealized & (above[size] | layers[size] & ((1 << ci) - 1)):
+            if first_unrealized(word, fam.k) != ci:
                 raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
         supersets = fam.shadow_count  # d-set -> members containing it
         for t, members in self.fibers.items():
@@ -93,9 +91,8 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     """Assign every member its canonical maximum certificate.
 
     The certificates come from the one occupancy_words pass: for each member,
-    the lowest unrealized compressed index in the largest size layer that has
-    one (ascending index inside a size class is ascending canonical order of
-    the subsets).
+    the first trace in preference(d + 1) that it leaves unrealized
+    (traces.first_unrealized).
     """
     if fam.k != d + 1:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")

@@ -209,7 +209,7 @@ def cmd_gen(args, _fam):
     else:
         fam = random_maximal_vc_family(FuzzSeed(args.seed, args.n, args.d))
     try:
-        dump_family(fam, args.out)
+        text = dump_family(fam, args.out)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from None
     payload = {
@@ -218,7 +218,7 @@ def cmd_gen(args, _fam):
         "k": fam.k,
         "size": len(fam),
         "out": args.out,
-        "family_digest": f"{fnv1a64(format_family(fam).encode()):016x}",
+        "family_digest": f"{fnv1a64(text.encode()):016x}",
     }
     return payload, [f"wrote {len(fam)} members (n={fam.n}, k={fam.k}) to {args.out}"], 0
 

@@ -55,15 +55,10 @@ def parse_family(text: str, source: str = "<string>") -> UniformFamily:
     return UniformFamily.from_masks(n, k, masks)
 
 
-def format_family(fam: UniformFamily, comment: str | None = None) -> str:
+def format_family(fam: UniformFamily) -> str:
     if fam.k < 1:
         raise UsageError(f"a .fam file needs k >= 1, got a {fam.k}-uniform family")
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"{fam.n} {fam.k}")
-    lines += map(elements_text, fam)
+    lines = [f"{fam.n} {fam.k}", *map(elements_text, fam)]
     return "\n".join(lines) + "\n"
 
 
@@ -76,7 +71,9 @@ def load_family(path: str) -> UniformFamily:
     return parse_family(text, source=path)
 
 
-def dump_family(fam: UniformFamily, path: str, comment: str | None = None):
-    text = format_family(fam, comment)  # refuses k = 0 before the file is created
+def dump_family(fam: UniformFamily, path: str) -> str:
+    """Write fam to path in .fam form and return the text written."""
+    text = format_family(fam)  # refuses k = 0 before the file is created
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return text

@@ -5,18 +5,20 @@ subsets of F; compressing each trace onto F's own bit positions gives an index
 in [0, 2^k), and the set of realized traces becomes a 2^k-bit occupancy word.
 F has a certificate iff some proper-subset bit is still clear.
 
-occupancy_words is the one certificate kernel for certificate assignment and
-the pipeline: one batch pass (numpy while a word fits 32 bits) gives every
-member its bit positions, its occupancy word and its canonical maximum
-certificate, the least unrealized proper trace of the largest size. Above
-that width the same result comes from plain Python, which is also the
-reference the tests hold the numpy pass to. TraceTracker, the generator's
-incremental form, is plain Python: it indexes the members with one proper
-trace left, so most rejections cost a few dict lookups. A candidate that
-passes that test is checked against every member, by a walk over per-member
-trace sets while the family stays small, and by splitting member bitsets on
-the candidate's elements from BITSET_MIN_CANDIDATES candidate k-sets up,
-where the walk's cost, linear in the family, dominates generation.
+preference(k) is the canonical order of the proper traces, largest first and
+the least compressed index first within a size; a member's certificate is the
+first of them it leaves unrealized. occupancy_words is the one certificate
+kernel for certificate assignment and the pipeline: one batch pass (numpy
+while a word fits 64 bits, so for k <= 6) gives every member its bit
+positions, its occupancy word and that certificate. Above that width the same
+result comes from plain Python, which is also the reference the tests hold
+the numpy pass to. TraceTracker, the generator's incremental form, is plain
+Python: it indexes the members with one proper trace left, so most rejections
+cost a few dict lookups. A candidate that passes that test is checked against
+every member, by a walk over per-member trace sets while the family stays
+small, and by splitting member bitsets on the candidate's elements from
+BITSET_MIN_CANDIDATES candidate k-sets up, where the walk's cost, linear in
+the family, dominates generation.
 """
 
 from functools import lru_cache
@@ -29,8 +31,9 @@ import numpy as np
 from .bitwords import positions_of
 from .errors import InvariantViolation
 
-# the batch numpy path packs occupancy into uint32, so it needs 2^k <= 32 bits
-_NUMPY_MAX_K = 5
+# the batch numpy path packs occupancy into one unsigned word, uint32 up to
+# k = 5 and uint64 at k = 6, so it needs 2^k <= 64 bits
+_NUMPY_MAX_K = 6
 _BIT_INDEX = np.arange(63, dtype=np.int64)
 # TraceTracker keeps its members as bitsets from this many candidate k-sets
 # C(n, k) up, and walks a set of traces per member below it. Measured
@@ -58,19 +61,22 @@ def size_layer_mask(k: int, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def size_layers(k: int) -> tuple[int, ...]:
-    """size_layer_mask(k, s) for every s < k, built once per k."""
-    return tuple(size_layer_mask(k, s) for s in range(k))
+def preference(k: int) -> tuple[int, ...]:
+    """Compressed indices of the proper traces of a k-set in canonical
+    preference order: larger traces first, then lower index (ascending index
+    inside a size is ascending canonical order of the subsets). The sort is
+    stable under reverse, so equal sizes keep ascending index."""
+    return tuple(sorted(range((1 << k) - 1), key=int.bit_count, reverse=True))
 
 
-def largest_unrealized(occ: int, layers) -> int | None:
-    """Compressed index of the largest unrealized proper trace, the
-    canonically least of its size; layers = size_layers(k). None when every
-    proper trace is realized."""
-    for layer in reversed(layers):
-        free = layer & ~occ
-        if free:
-            return (free & -free).bit_length() - 1
+def first_unrealized(word: int, k: int) -> int | None:
+    """Compressed index of the first proper trace in preference(k) that the
+    occupancy word leaves clear, the member's certificate; None when every
+    proper trace is realized. A word has at most |F| set bits, so the scan
+    stops within |F| + 1 steps."""
+    for c in preference(k):
+        if not word >> c & 1:
+            return c
     return None
 
 
@@ -114,19 +120,9 @@ def occupancy_words(masks, k: int) -> Occupancy:
     return _occupancy_python(masks, k)
 
 
-@lru_cache(maxsize=None)
-def _preference(k: int):
-    """The proper traces in canonical preference order (larger first, then
-    lower compressed index) plus a sentinel, and the bit shifts that decode
-    an index. The sentinel, bit 63, is clear in every word, so it is the
-    first clear bit of a shattered member."""
-    order = sorted(range((1 << k) - 1), key=lambda c: (-c.bit_count(), c))
-    return np.array(order + [63], dtype=np.int64), np.arange(k, dtype=np.int64)[:, None]
-
-
 def _occupancy_numpy(masks, k: int) -> Occupancy:
     m = len(masks)
-    order, shifts = _preference(k)
+    word_type = np.uint32 if k <= 5 else np.uint64
     arr = np.array(masks, dtype=np.int64)
     bits = (arr[:, None] >> _BIT_INDEX[: max(masks).bit_length()]).astype(np.uint8)
     bits &= 1
@@ -140,28 +136,32 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     for t in range(1, k):
         has <<= 1
         comp |= has[pos[t]]
-    word = comp.astype(np.uint32)
-    np.left_shift(np.uint32(1), word, out=word)
+    word = comp.astype(word_type)
+    np.left_shift(word_type(1), word, out=word)
     occ = np.bitwise_or.reduce(word, axis=1)
-    # rank of each member's first clear bit in preference order
+    # each member's first clear bit in preference order. Every shift stays in
+    # one dtype (numpy 2 refuses uint64 >> int64): word_type for the bit test,
+    # int64 for the decode
+    order = np.array(preference(k), dtype=word_type)
     rank = ((occ[:, None] >> order) & 1).argmin(axis=1)
-    index = order[rank]
-    cert = ((index >> shifts & 1) << pos).sum(axis=0)
-    certs = cert.tolist()
-    if rank.max() == len(order) - 1:  # a shattered member's sentinel decodes to the member
-        certs = [None if c == mask else c for c, mask in zip(certs, masks)]
-    return Occupancy(list(map(tuple, pos.T.tolist())), occ.tolist(), certs)
+    index = order[rank].astype(np.int64)
+    shifts = np.arange(k, dtype=np.int64)[:, None]
+    certs = ((index >> shifts & 1) << pos).sum(axis=0).tolist()
+    words = occ.tolist()
+    full = (1 << (1 << k)) - 1  # a shattered member's word: every bit set
+    if full in words:
+        certs = [None if w == full else c for c, w in zip(certs, words)]
+    return Occupancy(list(map(tuple, pos.T.tolist())), words, certs)
 
 
 def _occupancy_python(masks, k: int) -> Occupancy:
     positions = [positions_of(m) for m in masks]
-    layers = size_layers(k)
     words, certs = [], []
     for mask, pos in zip(masks, positions):
         occ = 0
         for other in masks:
             occ |= 1 << compress_trace(other & mask, pos)
-        best = largest_unrealized(occ, layers)
+        best = first_unrealized(occ, k)
         words.append(occ)
         certs.append(None if best is None else expand_index(best, pos))
     return Occupancy(positions, words, certs)

@@ -64,7 +64,7 @@ def _shattered_family(k):
 
 def _agreement_cases():
     rng = SplitMix64(7)
-    for k in range(1, 6):
+    for k in range(1, 7):
         for _ in range(8):
             n = k + 1 + rng.below(10)
             pool = list(k_subset_masks(n, k))
@@ -74,18 +74,21 @@ def _agreement_cases():
         yield k, sorted({_random_member(rng, 63, k, must=62 if i % 2 else None) for i in range(12)})
         yield k, [_random_member(rng, 63, k, must=62)]
         yield k, _shattered_family(k)
+    # the k = 6 shattered family without the member realizing {2..6} on
+    # {1..6}: that member's certificate is compressed index 62, past bit 31
+    yield 6, [m for m in _shattered_family(6) if m & 63 != 62]
 
 
 def test_occupancy_paths_agree():
     """The numpy pass and the plain-Python reference agree on positions,
-    words and the canonical certificate for k = 1..5."""
+    words and the canonical certificate for k = 1..6."""
     shattered = 0
     for k, masks in _agreement_cases():
         fast = _occupancy_numpy(masks, k)
         assert fast == _occupancy_python(masks, k), (k, masks)
         assert fast.positions == [positions_of(m) for m in masks]
         shattered += fast.certificates.count(None)
-    assert shattered >= 5  # each k's shattered family has one shattered member
+    assert shattered >= 6  # each k's shattered family has one shattered member
 
 
 def test_occupancy_certificates_match_the_oracle():
@@ -104,15 +107,15 @@ def test_occupancy_certificates_match_the_oracle():
             assert cert == min(mask_from(c) for c in certs if len(c) == top)
 
 
-def test_occupancy_above_five_takes_the_python_path(monkeypatch):
+def test_occupancy_above_six_takes_the_python_path(monkeypatch):
     def refuse(masks, k):
-        raise AssertionError("numpy path used for k > 5")
+        raise AssertionError("numpy path used for k > 6")
 
     rng = SplitMix64(3)
-    masks = sorted({_random_member(rng, 12, 6) for _ in range(10)})
-    want = _occupancy_python(masks, 6)
+    masks = sorted({_random_member(rng, 12, 7) for _ in range(10)})
+    want = _occupancy_python(masks, 7)
     monkeypatch.setattr(traces, "_occupancy_numpy", refuse)
-    assert occupancy_words(masks, 6) == want
+    assert occupancy_words(masks, 7) == want
 
 
 def test_occupancy_semantics_by_hand():
