@@ -12,9 +12,8 @@ from functools import cached_property
 from math import factorial
 
 from .bitwords import bit, elements_of, mask_of, set_text
-from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
-from .families import UniformFamily
+from .families import MAX_GEN_CANDIDATES, UniformFamily
 from .traces import Occupancy, compress_trace, first_unrealized, occupancy_words
 
 TRIANGLE = "TRIANGLE"

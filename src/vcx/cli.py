@@ -26,27 +26,14 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 from math import comb
 
-from . import __version__
+from . import __version__, _lazy_getattr
 from .bitwords import elements_of, elements_text
-from .certificates import (
-    build_assignment,
-    classify_fiber,
-    fiber_bound,
-    fiber_size_histogram,
-)
-from .constructions import (
-    MAX_GEN_CANDIDATES,
-    MAX_THREADS,
-    FuzzSeed,
-    complete_family,
-    random_maximal_vc_family,
-    star_family,
-)
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import (
+    MAX_GEN_CANDIDATES,
+    MAX_THREADS,
     UniformFamily,
     complement_shadow,
     frankl_pach_bound,
@@ -55,15 +42,21 @@ from .families import (
     vc_dimension,
 )
 from .famfile import dump_family, format_family, load_family
-from .fuzzing import check_family, fuzz_campaign
-from .pipeline import run_pipeline
-from .search import (
-    certificate_order_max,
-    exact_max,
-    lower_bound_witness,
-    search_bracket,
-)
 from .sunflower import find_sunflower, sunflower_threshold, validate_sunflower
+
+# Each command imports the modules it runs in its own body, so that it loads
+# no others. These entry points stay names of this module, resolved on access,
+# for callers that look them up here.
+__getattr__ = _lazy_getattr(
+    globals(),
+    {
+        "random_maximal_vc_family": "constructions",
+        "build_assignment": "certificates",
+        "classify_fiber": "certificates",
+        "check_family": "fuzzing",
+        "run_pipeline": "pipeline",
+    },
+)
 
 EXIT_BROKEN_PIPE = 141
 
@@ -91,17 +84,6 @@ def _strip_volatile(value):
 def result_digest(payload: dict) -> str:
     canon = json.dumps(_strip_volatile(payload), sort_keys=True, separators=(",", ":"))
     return f"{fnv1a64(canon.encode()):016x}"
-
-
-def _encode(value):
-    """JSON-safe encoding: Fractions become {"num","den"}, tuples become lists."""
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    return value
 
 
 class Parser(argparse.ArgumentParser):
@@ -202,6 +184,8 @@ def make_parser() -> Parser:
 
 
 def cmd_gen(args, _fam):
+    from .constructions import FuzzSeed, complete_family, random_maximal_vc_family, star_family
+
     if args.kind == "star":
         fam = star_family(args.n, args.d)
     elif args.kind == "complete":
@@ -281,6 +265,8 @@ def cmd_shadow(args, fam):
 
 
 def cmd_certify(args, fam):
+    from .certificates import build_assignment, classify_fiber, fiber_bound, fiber_size_histogram
+
     assign = build_assignment(fam, args.d)
     hist, biggest = fiber_size_histogram(assign)
     shapes, shape_lines = [], []
@@ -343,6 +329,8 @@ def cmd_sunflower(args, fam):
 
 
 def _audit_payload(report) -> dict:
+    from fractions import Fraction
+
     audit = report.audit
     sizes = {k: v for k, v in asdict(audit).items() if k not in ("asserted", "reported")}
     asserted = [
@@ -362,11 +350,17 @@ def _audit_payload(report) -> dict:
         },
         "g": {elements_text(m): idx for m, idx in report.gmap.items()},
         "asserted": asserted,
-        "reported": _encode(audit.reported),
+        # the reported ratios are ints and Fractions; a Fraction is {"num", "den"}
+        "reported": {
+            name: {"num": v.numerator, "den": v.denominator} if isinstance(v, Fraction) else v
+            for name, v in audit.reported.items()
+        },
     }
 
 
 def cmd_pipeline(args, fam):
+    from .pipeline import run_pipeline
+
     report = run_pipeline(fam, args.d, assume_vc=args.assume_vc)
     audit = report.audit
     lines = [
@@ -382,6 +376,8 @@ def cmd_pipeline(args, fam):
 
 
 def cmd_search(args, _fam):
+    from .search import certificate_order_max, exact_max, lower_bound_witness, search_bracket
+
     if args.target is not None and args.mode != "witness":
         raise UsageError("--target applies to witness mode only")
     if args.s is not None and args.mode != "order-s":
@@ -417,6 +413,8 @@ def cmd_search(args, _fam):
 
 
 def cmd_fuzz(args, _fam):
+    from .fuzzing import fuzz_campaign
+
     if args.n is None or args.d is None:
         raise UsageError("fuzz requires --n and --d (or --replay)")
     summary = fuzz_campaign(
@@ -436,6 +434,9 @@ def cmd_fuzz(args, _fam):
 
 def _replay(args) -> int:
     """Re-run a dumped fuzz failure and confirm the generation is bit-identical."""
+    from .constructions import FuzzSeed, random_maximal_vc_family
+    from .fuzzing import check_family
+
     try:
         manifest = json.loads(_read(args.replay))
         n, d, seed = (manifest[key] for key in ("n", "d", "seed"))

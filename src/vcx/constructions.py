@@ -13,7 +13,8 @@ import numpy as np
 
 from .bitwords import k_subset_masks
 from .errors import UsageError
-from .families import UniformFamily
+# MAX_THREADS is only re-exported from here: the limits live in families
+from .families import MAX_GEN_CANDIDATES, MAX_GEN_WORK, MAX_THREADS, UniformFamily
 from .traces import TraceTracker
 
 _MASK64 = (1 << 64) - 1
@@ -21,11 +22,6 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MIX1 = 0xBF58476D1CE4E5B9
 _SM_MIX2 = 0x94D049BB133111EB
-# most k-subsets a generator lists; larger requests are refused up front
-MAX_GEN_CANDIDATES = 1 << 18
-# most worker processes a fuzz campaign or search starts: a process pool forks
-# all of its workers at once, so a larger request is refused before any starts
-MAX_THREADS = 64
 
 
 class SplitMix64:
@@ -112,6 +108,11 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
     if n > 63:
         raise UsageError(f"ground set {n} exceeds 63")
     _check_cost(n, d + 1)
+    # each candidate's kill test looks up its 2^(d+1) - 1 proper traces
+    if comb(n, d + 1) << (d + 1) > MAX_GEN_WORK:
+        raise UsageError(
+            f"C({n},{d + 1}) candidates times 2^{d + 1} traces exceed the limit of {MAX_GEN_WORK}"
+        )
     candidates = list(_candidate_masks(n, d + 1))
     SplitMix64(fseed.seed).shuffle(candidates)
     tracker = TraceTracker(n, d + 1)

@@ -23,6 +23,15 @@ MAX_SHATTER_CHECK = 25
 # member) pairs than this; the largest scan the tests, demos and benchmark do
 # is far below it
 MAX_VC_SCAN = 1 << 26
+# most k-subsets a generator or a shadow lists; larger requests are refused up front
+MAX_GEN_CANDIDATES = 1 << 18
+# most submask lookups random generation may make, C(n, d+1) candidates times
+# the 2^(d+1) traces of each: the (19,17) family needs about 2^22.2, and
+# (18,11), about 2^26.2, would run for minutes
+MAX_GEN_WORK = 1 << 23
+# most worker processes a fuzz campaign or search starts: a process pool forks
+# all of its workers at once, so a larger request is refused before any starts
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)

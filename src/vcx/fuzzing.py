@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field
 
 from .certificates import build_assignment, classify_fiber, fiber_size_histogram
-from .constructions import MAX_THREADS, FuzzSeed, random_maximal_vc_family
+from .constructions import FuzzSeed, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
-from .families import UniformFamily
+from .families import MAX_THREADS, UniformFamily
 from .famfile import format_family
 from .pipeline import run_pipeline
 

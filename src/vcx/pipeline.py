@@ -30,9 +30,8 @@ from .certificates import (
     build_assignment,
     fiber_shape_elements,
 )
-from .constructions import MAX_GEN_CANDIDATES
 from .errors import InvariantViolation, MemberShattered, UsageError
-from .families import UniformFamily
+from .families import MAX_GEN_CANDIDATES, UniformFamily
 from .traces import compress_trace, expand_index, occupancy_words
 
 H0STAR = "H0STAR"

@@ -89,9 +89,9 @@ from functools import lru_cache
 from math import comb
 
 from .bitwords import k_subset_masks, positions_of, submasks
-from .constructions import MAX_THREADS, star_family
+from .constructions import star_family
 from .errors import InvariantViolation, UsageError
-from .families import UniformFamily, vc_dimension
+from .families import MAX_THREADS, UniformFamily, vc_dimension
 from .traces import (
     compress_trace,
     full_trace_bit,

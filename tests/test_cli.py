@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib
 import itertools
 import json
 import math
@@ -392,14 +393,14 @@ def test_closed_pipe_exits_quietly(tmp_path):
     masks = [sum(1 << (e - 1) for e in c)
              for c in itertools.islice(itertools.combinations(range(1, 31), 5), 30_000)]
     fam.write_text(format_family(vcx.UniformFamily.from_masks(30, 5, masks)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(  # leaving the block closes both pipes
         [sys.executable, "-m", "vcx", "shadow", "--input", str(fam), "--r", "4"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
-    )
-    assert proc.stdout.readline().startswith(b"shadow at r=4: 27405 sets")
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"shadow at r=4: 27405 sets")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
     assert "Traceback" not in stderr, stderr
 
 
@@ -410,6 +411,88 @@ def test_import_loads_numpy_but_not_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_cli_env(), timeout=60)
     assert proc.stdout.split() == ["True", "False"], proc.stderr
+
+
+_SHARED = "bitwords cli errors famfile families sunflower"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--version"], ""),
+        (["gen", "--kind", "random", "--n", "10", "--d", "2", "--out", "gen.fam", "--json"],
+         "constructions traces"),
+        (["vc", "--input", "input.fam", "--json"], ""),
+        (["shadow", "--input", "input.fam", "--r", "2", "--complement", "--json"], ""),
+        (["certify", "--input", "input.fam", "--d", "2", "--json"], "certificates traces"),
+        (["sunflower", "--input", "input.fam", "--p", "3", "--json"], ""),
+        (["pipeline", "--input", "input.fam", "--d", "2", "--json"],
+         "certificates pipeline traces"),
+        (["search", "--n", "6", "--d", "2", "--json"], "constructions search traces"),
+        (["fuzz", "--n", "8", "--d", "2", "--count", "5", "--json"],
+         "certificates constructions fuzzing pipeline traces"),
+    ],
+    ids=["version", "gen", "vc", "shadow", "certify", "sunflower", "pipeline", "search", "fuzz"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    """The benchmark's nine cli commands, each through cli.main in a fresh
+    interpreter: every vcx module it leaves in sys.modules, and nothing else."""
+    fam = random_maximal_vc_family(FuzzSeed(1, 10, 2))
+    (tmp_path / "input.fam").write_text(format_family(fam))
+    code = (
+        "import contextlib, io, sys\n"
+        "from vcx import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:  # --version exits through argparse\n"
+        "        code = exc.code\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('vcx.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          cwd=tmp_path, env=_cli_env(), timeout=60)
+    expected = sorted(f"vcx.{m}" for m in f"{_SHARED} {loaded}".split())
+    assert proc.stdout.split() == ["0", *expected], proc.stderr
+
+
+# every public name of the package, by its module, as `import vcx` exported
+# them when it imported every module
+PUBLIC_NAMES = {
+    "certificates": ["CertificateAssignment", "FiberShape", "build_assignment",
+                     "classify_fiber", "fiber_bound", "fiber_size_histogram"],
+    "constructions": ["FuzzSeed", "SplitMix64", "complete_family",
+                      "random_maximal_vc_family", "star_family"],
+    "errors": ["InvariantViolation", "MemberShattered", "UsageError", "VcxError"],
+    "famfile": ["dump_family", "format_family", "load_family", "parse_family"],
+    "fuzzing": ["CampaignSummary", "FamilyCheck", "check_family", "fuzz_campaign"],
+    "families": ["UniformFamily", "complement_shadow", "frankl_pach_bound", "is_shattered",
+                 "sauer_shelah_bound", "shadow", "shattered_witness", "vc_dimension"],
+    "pipeline": ["BoundAudit", "PartitionReport", "audit_bound", "build_f",
+                 "build_injection_g", "build_pair_collection", "partition_family",
+                 "run_pipeline", "verify_column_sums"],
+    "search": ["SearchResult", "certificate_order_max", "exact_max", "lower_bound_witness",
+               "search_bracket"],
+    "sunflower": ["Sunflower", "find_sunflower", "sunflower_threshold", "validate_sunflower"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_package_namespace_resolves_every_public_name(module):
+    """Each name resolves by attribute and by `from vcx import name`, to the
+    object its own module defines, and dir(vcx) lists it."""
+    own = importlib.import_module(f"vcx.{module}")
+    for name in PUBLIC_NAMES[module]:
+        assert getattr(vcx, name) is getattr(own, name)
+        scope = {}
+        exec(f"from vcx import {name}", scope)
+        assert scope[name] is getattr(own, name)
+        assert name in dir(vcx)
+
+
+def test_package_all_lists_the_public_names():
+    assert sorted(vcx.__all__) == sorted(n for names in PUBLIC_NAMES.values() for n in names)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        vcx.no_such_name
 
 
 @pytest.mark.parametrize(
@@ -425,6 +508,20 @@ def test_shadow_cost_guard_refuses_huge_listing(tmp_path, k, r, extra):
     proc = run_cli("shadow", "--input", str(fam), "--r", str(r), *extra, timeout=10)
     assert_usage_error(proc, "limit")
     assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuzz", "--count", "1"], ["gen", "--kind", "random", "--out", "x.fam"]],
+    ids=["fuzz", "gen"],
+)
+def test_random_generation_guard_refuses_2_to_the_d_work(tmp_path, argv):
+    # C(18,12) = 18,564 candidates, each with 2^12 traces: minutes of work
+    t0 = time.monotonic()
+    proc = run_cli(*argv, "--n", "18", "--d", "11", cwd=tmp_path, timeout=30)
+    assert_usage_error(proc, "2^12 traces", "limit")
+    assert time.monotonic() - t0 < 5.0
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

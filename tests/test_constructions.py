@@ -1,6 +1,8 @@
 import hashlib
 from math import comb
 
+import pytest
+
 from oracles import oracle_vc_le
 from vcx.constructions import (
     FuzzSeed,
@@ -10,7 +12,8 @@ from vcx.constructions import (
     star_family,
 )
 from vcx.bitwords import elements_of
-from vcx.families import vc_dimension
+from vcx.errors import UsageError
+from vcx.families import MAX_GEN_WORK, vc_dimension
 
 
 def test_splitmix_reference_vector():
@@ -87,6 +90,18 @@ def test_random_maximal_is_deterministic():
     assert a.masks == b.masks
     c = random_maximal_vc_family(FuzzSeed(12, 6, 2))
     assert c.masks != a.masks
+
+
+@pytest.mark.parametrize(
+    "n, d, allowed", [(19, 17, True), (14, 5, True), (18, 11, False)]
+)
+def test_random_generation_work_bound(n, d, allowed):
+    """C(n, d+1) candidates times 2^(d+1) traces each: (19,17) and the d = 5
+    campaign cells stay under the bound, (18,11) is refused before listing."""
+    assert (comb(n, d + 1) << (d + 1) <= MAX_GEN_WORK) == allowed
+    if not allowed:
+        with pytest.raises(UsageError, match=f"2\\^{d + 1} traces exceed the limit"):
+            random_maximal_vc_family(FuzzSeed(0, n, d))
 
 
 def test_random_maximal_respects_vc_oracle():
