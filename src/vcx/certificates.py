@@ -86,6 +86,13 @@ class CertificateAssignment:
                 raise InvariantViolation(f"fiber of {t:#x} has {len(members)} > 3 members")
 
 
+def check_member_pairs(size: int):
+    """Refuse a family of `size` members when occupancy_words, which
+    compares every pair of members, would exceed MAX_MEMBER_PAIRS."""
+    if size**2 > MAX_MEMBER_PAIRS:
+        raise UsageError(f"{size}^2 member pairs exceed the limit of {MAX_MEMBER_PAIRS}")
+
+
 def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
     """Assign every member its canonical maximum certificate.
 
@@ -97,8 +104,7 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
     if 1 << fam.k > MAX_GEN_CANDIDATES:  # occupancy words hold 2^(d+1) traces each
         raise UsageError(f"2^{fam.k} traces per member exceed the limit of {MAX_GEN_CANDIDATES}")
-    if len(fam) ** 2 > MAX_MEMBER_PAIRS:  # occupancy_words compares every pair of members
-        raise UsageError(f"{len(fam)}^2 member pairs exceed the limit of {MAX_MEMBER_PAIRS}")
+    check_member_pairs(len(fam))
     masks = fam.masks
     occ = occupancy_words(masks, fam.k)
     if None in occ.certificates:

@@ -6,7 +6,6 @@ stdlib random module.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -15,7 +14,7 @@ from .bitwords import k_subset_masks
 from .errors import UsageError
 # MAX_THREADS is only re-exported from here: the limits live in families
 from .families import MAX_GEN_CANDIDATES, MAX_GEN_WORK, MAX_THREADS, UniformFamily
-from .traces import TraceTracker
+from .traces import TraceTracker, candidate_table
 
 _MASK64 = (1 << 64) - 1
 # split-mix 64 constants: golden-ratio increment and the two finalizer mixers
@@ -103,17 +102,8 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
     accumulate.
     """
     n, d = fseed.n, fseed.d
-    if not 1 <= d + 1 <= n:
-        raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
-    if n > 63:
-        raise UsageError(f"ground set {n} exceeds 63")
-    _check_cost(n, d + 1)
-    # each candidate's kill test looks up its 2^(d+1) - 1 proper traces
-    if comb(n, d + 1) << (d + 1) > MAX_GEN_WORK:
-        raise UsageError(
-            f"C({n},{d + 1}) candidates times 2^{d + 1} traces exceed the limit of {MAX_GEN_WORK}"
-        )
-    candidates = list(_candidate_masks(n, d + 1))
+    check_random_generation(n, d)
+    candidates = list(candidate_table(n, d + 1).masks)
     SplitMix64(fseed.seed).shuffle(candidates)
     tracker = TraceTracker(n, d + 1)
     for cand in candidates:
@@ -121,8 +111,17 @@ def random_maximal_vc_family(fseed: FuzzSeed) -> UniformFamily:
     return UniformFamily.from_masks(n, d + 1, tracker.masks())
 
 
-@lru_cache(maxsize=32)
-def _candidate_masks(n: int, k: int) -> tuple[int, ...]:
-    """Every k-subset of [n] in canonical order, listed once per (n, k) for
-    the generator, which shuffles a copy."""
-    return tuple(k_subset_masks(n, k))
+def check_random_generation(n: int, d: int):
+    """Refuse an (n, d) that random_maximal_vc_family cannot generate,
+    before any candidate is listed."""
+    if not 1 <= d + 1 <= n:
+        raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
+    if n > 63:
+        raise UsageError(f"ground set {n} exceeds 63")
+    _check_cost(n, d + 1)
+    # each candidate that passes the kill test splits the family into the
+    # 2^(d+1) parts of its traces
+    if comb(n, d + 1) << (d + 1) > MAX_GEN_WORK:
+        raise UsageError(
+            f"C({n},{d + 1}) candidates times 2^{d + 1} traces exceed the limit of {MAX_GEN_WORK}"
+        )

@@ -25,9 +25,10 @@ MAX_SHATTER_CHECK = 25
 MAX_VC_SCAN = 1 << 26
 # most k-subsets a generator or a shadow lists; larger requests are refused up front
 MAX_GEN_CANDIDATES = 1 << 18
-# most submask lookups random generation may make, C(n, d+1) candidates times
-# the 2^(d+1) traces of each: the (19,17) family needs about 2^22.2, and
-# (18,11), about 2^26.2, would run for minutes
+# most work random generation may do, C(n, d+1) candidates times the 2^(d+1)
+# parts into which each candidate that passes the kill test splits the family,
+# one per trace: the (19,17) family needs about 2^22.2, and (18,11), about
+# 2^26.2, would run for minutes
 MAX_GEN_WORK = 1 << 23
 # most worker processes a fuzz campaign or search starts: a process pool forks
 # all of its workers at once, so a larger request is refused before any starts

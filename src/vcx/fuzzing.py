@@ -11,9 +11,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from math import comb
 
-from .certificates import build_assignment, classify_fiber, fiber_size_histogram
-from .constructions import FuzzSeed, random_maximal_vc_family
+from .certificates import build_assignment, check_member_pairs, classify_fiber, fiber_size_histogram
+from .constructions import FuzzSeed, check_random_generation, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
 from .families import MAX_THREADS, UniformFamily
 from .famfile import format_family
@@ -164,13 +165,20 @@ def fuzz_campaign(
     results do not depend on `threads`. Failures are collected rather than
     raised; callers decide whether a nonempty failure list is fatal. A d the
     pipeline cannot check is refused before the first seed, so it is never
-    filed as a failure of every family; threads above MAX_THREADS is refused
-    before any worker starts.
+    filed as a failure of every family, and so is an (n, d) whose family is
+    known to exceed MAX_MEMBER_PAIRS before it is generated; threads above
+    MAX_THREADS is refused before any worker starts.
     """
     if d < 1:
         raise UsageError(f"fuzz needs d >= 1, got d={d}")
     if threads > MAX_THREADS:
         raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
+    if n < 2 * (d + 1):
+        # any two (d+1)-sets meet, so no member realizes the empty trace and
+        # every candidate joins the family; the generator's own refusals
+        # come first
+        check_random_generation(n, d)
+        check_member_pairs(comb(n, d + 1))
     t0 = time.monotonic()
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)

@@ -12,23 +12,27 @@ kernel for certificate assignment and the pipeline: one batch pass (numpy
 while a word fits 64 bits, so for k <= 6) gives every member its bit
 positions, its occupancy word and that certificate. Above that width the same
 result comes from plain Python, which is also the reference the tests hold
-the numpy pass to. TraceTracker, the generator's incremental form, is plain
-Python: it indexes the members with one proper trace left, so most rejections
-cost a few dict lookups. A candidate that passes that test is checked against
-every member, by a walk over per-member trace sets while the family stays
-small, and by splitting member bitsets on the candidate's elements from
-BITSET_MIN_CANDIDATES candidate k-sets up, where the walk's cost, linear in
-the family, dominates generation.
+the numpy pass to.
+
+TraceTracker, the generator's incremental form, is plain Python over the
+candidate table of (n, k): every k-subset of [n] with its position, and per
+element the bitsets of the positions of the candidates that hold it and of
+those that avoid it. The tracker keeps the set of dead candidates, those whose
+commit would realize the last proper trace of some member, as a bitset over
+those positions, so most rejections cost one dict lookup and one bit read. A
+candidate that is not dead is checked against every member, by a walk over
+per-member trace sets while the family stays small, and by splitting member
+bitsets on the candidate's elements from BITSET_MIN_CANDIDATES candidate
+k-sets up, where the walk's cost, linear in the family, dominates generation.
 """
 
 from functools import lru_cache
-from math import comb
 from operator import xor
 from typing import NamedTuple
 
 import numpy as np
 
-from .bitwords import positions_of
+from .bitwords import k_subset_masks, positions_of
 from .errors import InvariantViolation
 
 # the batch numpy path packs occupancy into one unsigned word, uint32 up to
@@ -167,20 +171,51 @@ def _occupancy_python(masks, k: int) -> Occupancy:
     return Occupancy(positions, words, certs)
 
 
+class CandidateTable(NamedTuple):
+    """candidate_table's result: the k-subsets of [n] a generator offers."""
+
+    masks: tuple  # every k-subset of [n] as a mask, in canonical order
+    position: dict  # mask -> its index in masks
+    holders: tuple  # per element x of [n], the positions of the masks holding x, as bits
+    avoiders: tuple  # per element x of [n], the positions of the other masks, as bits
+
+
+@lru_cache(maxsize=32)
+def candidate_table(n: int, k: int) -> CandidateTable:
+    """The candidate k-sets of [n], listed once per (n, k); the generator
+    shuffles a copy of masks, and each TraceTracker reads positions and
+    element bitsets from the same table."""
+    masks = tuple(k_subset_masks(n, k))
+    arr = np.array(masks, dtype=np.int64)
+    holders = tuple(
+        int.from_bytes(np.packbits((arr & (1 << x)) != 0, bitorder="little").tobytes(), "little")
+        for x in range(n)
+    )
+    everything = (1 << len(masks)) - 1
+    avoiders = tuple(everything ^ held for held in holders)
+    return CandidateTable(masks, dict(zip(masks, range(len(masks)))), holders, avoiders)
+
+
 class TraceTracker:
     """Incrementally grown k-uniform family that keeps every member certified.
 
-    try_add(G) commits G iff afterwards every member, G included, still has a
-    proper subset unrealized as a trace (i.e. keeps a certificate). There is
-    no removal: the generator only ever grows its family.
+    try_add(G) takes a k-subset G of [n] and commits it iff afterwards every
+    member, G included, still has a proper subset unrealized as a trace (i.e.
+    keeps a certificate). There is no removal: the generator only ever grows
+    its family.
 
     G realizes at most one new trace on each member F, namely G & F, so G
     kills F exactly when F is critical, with a single unrealized proper trace
-    T, and G & F == T. The critical index maps T to those members, which
-    makes the kill test one lookup per proper submask of G. The index is exact
-    because traces only accumulate: a member, once critical, stays critical
-    with the same T until something kills it, and try_add never commits a
-    kill; a commit that leaves a member with no unrealized proper trace raises
+    T, and G & F == T. When F becomes critical, every such G is marked dead at
+    once: the candidates that hold T's elements and none of F's others, the
+    AND of T's holder bitsets with the others' avoider bitsets, k big-int
+    ANDs however many killers there are. The kill test is then one bit
+    read, from a bytes copy of the dead bitset that each commit that marks
+    refreshes, since reading a bit of the int itself would shift all of it.
+    A mark never needs undoing, because traces only accumulate: a member,
+    once critical, stays critical with the same T, and try_add never commits a
+    kill, so a candidate is dead exactly when it would kill a current member.
+    A commit that leaves a member with no unrealized proper trace raises
     InvariantViolation.
 
     A candidate that passes the kill test is checked and committed in one of
@@ -206,8 +241,14 @@ class TraceTracker:
         self.n = n
         self.k = k
         self._masks = []
-        self._critical = {}  # T -> members whose only unrealized proper trace is T
-        if comb(n, k) < BITSET_MIN_CANDIDATES:
+        table = candidate_table(n, k)
+        self._position = table.position
+        self._holders = table.holders
+        self._avoiders = table.avoiders
+        # positions of the candidates that would kill a member, and its bytes
+        self._dead = 0
+        self._dead_bytes = bytes((len(table.masks) + 7) // 8)
+        if len(table.masks) < BITSET_MIN_CANDIDATES:
             self._has = None
             self._realized = []  # per member, the set of traces realized on it
         else:
@@ -219,16 +260,32 @@ class TraceTracker:
         return list(self._masks)
 
     def try_add(self, G: int) -> bool:
-        critical = self._critical
-        T = G
-        while T:
-            T = (T - 1) & G
-            for F in critical.get(T, ()):
-                if G & F == T:
-                    return False
+        i = self._position[G]
+        if self._dead_bytes[i >> 3] >> (i & 7) & 1:
+            return False
         if self._has is None:
             return self._add_walk(G)
         return self._add_bits(G)
+
+    def _mark_dead(self, F: int, T: int):
+        """Mark dead every candidate G with G & F == T, the one proper trace
+        member F lacks. The commit refreshes the snapshot once for all the
+        marks it makes."""
+        holders, avoiders = self._holders, self._avoiders
+        dead, rest = -1, F
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            dead &= holders[x] if T & low else avoiders[x]
+        self._dead |= dead
+
+    def _refresh(self, dead: int):
+        """Refresh the snapshot if a mark replaced the dead bitset `dead`
+        held before the commit; ints are immutable, so an unmarked commit
+        leaves the same object."""
+        if self._dead is not dead:
+            self._dead_bytes = self._dead.to_bytes(len(self._dead_bytes), "little")
 
     def _add_walk(self, G: int) -> bool:
         own = {F & G for F in self._masks}
@@ -236,6 +293,7 @@ class TraceTracker:
         everything = 1 << self.k
         if len(own) == everything:
             return False
+        dead = self._dead
         for F, realized in zip(self._masks, self._realized):
             t = F & G
             if t not in realized:
@@ -246,6 +304,7 @@ class TraceTracker:
         self._realized.append(own)
         if len(own) == everything - 1:
             self._mark_critical(G, own)
+        self._refresh(dead)
         return True
 
     def _mark_critical(self, F: int, realized: set):
@@ -254,7 +313,7 @@ class TraceTracker:
         T = F
         while T in realized:
             T = (T - 1) & F
-        self._critical.setdefault(T, []).append(F)
+        self._mark_dead(F, T)
 
     def _add_bits(self, G: int) -> bool:
         has = self._has
@@ -271,7 +330,7 @@ class TraceTracker:
         parts.pop()
         if all(parts):
             return False
-        miss, missing, masks = self._miss, self._missing, self._masks
+        miss, missing, masks, dead = self._miss, self._missing, self._masks, self._dead
         i = len(masks)
         bit = 1 << i
         lacks = []  # the proper traces G lacks
@@ -301,12 +360,13 @@ class TraceTracker:
         masks.append(G)
         missing.append(len(lacks))
         if len(lacks) == 1:
-            self._critical.setdefault(lacks[0], []).append(G)
+            self._mark_dead(G, lacks[0])
+        self._refresh(dead)
         return True
 
     def _mark_critical_bit(self, F: int, j: int, left: int):
-        """Index member j (mask F) under the one proper trace it lacks, or
-        raise when a commit realized its last one."""
+        """Mark the killers of member j (mask F) dead, or raise when a commit
+        realized its last proper trace."""
         if not left:
             raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
         miss = self._miss
@@ -315,4 +375,4 @@ class TraceTracker:
             T = (T - 1) & F
             if miss.get(T, 0) >> j & 1:
                 break
-        self._critical.setdefault(T, []).append(F)
+        self._mark_dead(F, T)

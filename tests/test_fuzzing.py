@@ -1,9 +1,12 @@
 from dataclasses import asdict
 
+import pytest
+
 from oracles import oracle_vc_le
 from vcx import fuzzing
 from vcx.bitwords import elements_of
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
+from vcx.errors import UsageError
 from vcx.fuzzing import fuzz_campaign
 
 
@@ -70,3 +73,28 @@ def test_check_family_at_high_d():
     check = fuzzing.check_family(fam, 17, seed=0)
     assert (check.size, check.max_fiber, check.audit_slack) == (19, 3, 17)
     assert check.shapes == {"TRIANGLE": 1, "SINGLETON": 16}
+
+
+class Generated(Exception):
+    pass
+
+
+def _refuse_to_generate(fseed):
+    raise Generated
+
+
+def test_campaign_refuses_an_uncheckable_family_before_generating(monkeypatch):
+    """Below n = 2(d+1) any two (d+1)-sets meet, so the family is all C(n, d+1)
+    candidates: at (16,9) that is 8008 members, too many pairs to check."""
+    monkeypatch.setattr(fuzzing, "random_maximal_vc_family", _refuse_to_generate)
+    with pytest.raises(UsageError, match=r"8008\^2 member pairs exceed the limit of 16777216"):
+        fuzz_campaign(16, 9, 1)
+
+
+@pytest.mark.parametrize("n, d", [(16, 5), (7, 3)])
+def test_campaign_generates_every_checkable_cell(monkeypatch, n, d):
+    """(16,5) has C(16,6) = 8008 candidates but n >= 2(d+1), so its family is
+    smaller and checks fine; (7,3) has 35 candidates: neither is refused."""
+    monkeypatch.setattr(fuzzing, "random_maximal_vc_family", _refuse_to_generate)
+    with pytest.raises(Generated):
+        fuzz_campaign(n, d, 1)

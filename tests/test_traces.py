@@ -1,3 +1,5 @@
+from math import inf
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,11 +136,9 @@ REPRESENTATIONS = ["set-walk", "bitsets"]
 
 def _tracker(n, k, representation):
     """A TraceTracker in the given member representation: the threshold at 0
-    puts every size on bitsets, and the small sizes here stay on the set walk
-    under the module's own threshold."""
+    puts every size on bitsets, and at infinity on the set walk."""
     with pytest.MonkeyPatch.context() as mp:
-        if representation == "bitsets":
-            mp.setattr(traces, "BITSET_MIN_CANDIDATES", 0)
+        mp.setattr(traces, "BITSET_MIN_CANDIDATES", 0 if representation == "bitsets" else inf)
         tracker = TraceTracker(n, k)
     assert (tracker._has is not None) == (representation == "bitsets")
     return tracker
@@ -146,7 +146,8 @@ def _tracker(n, k, representation):
 
 def _grow_both(n, k, candidates, want):
     """Offer the candidates to a tracker of each representation in lockstep;
-    each verdict must equal want(kept, cand). Returns the members kept."""
+    each verdict must equal want(kept, cand). Returns the trackers by
+    representation."""
     trackers = {r: _tracker(n, k, r) for r in REPRESENTATIONS}
     kept = []
     for cand in candidates:
@@ -157,7 +158,7 @@ def _grow_both(n, k, candidates, want):
             kept.append(cand)
     for tracker in trackers.values():
         assert tracker.masks() == kept
-    return kept
+    return trackers
 
 
 def _oracle_verdict(n, d):
@@ -184,11 +185,14 @@ def test_tracker_matches_oracle_on_random_sequences():
 def test_tracker_k6_matches_oracle():
     """k = 6 exceeds the batch numpy occupancy width; the tracker has no such
     limit in either representation."""
+    _grow_both(9, 6, _k6_pool()[:12], _oracle_verdict(9, 5))
+
+
+def _k6_pool():
     rng = SplitMix64(1234)
-    n, k = 9, 6
-    pool = list(k_subset_masks(n, k))
+    pool = list(k_subset_masks(9, 6))
     rng.shuffle(pool)
-    _grow_both(n, k, pool[:12], _oracle_verdict(n, k - 1))
+    return pool
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,27 +203,90 @@ def test_tracker_agrees_with_recheck_from_scratch(data):
     k = data.draw(st.integers(1, 6), label="k")
     n = data.draw(st.integers(k, k + 4), label="n")
     order = data.draw(st.permutations(list(k_subset_masks(n, k))), label="order")
+    _grow_both(n, k, order[:30], _recheck_verdict(k))
+
+
+def _recheck_verdict(k):
     proper = proper_trace_mask(k)
 
     def want(kept, cand):
         return all(occ & proper != proper for occ in occupancy_words(kept + [cand], k).words)
 
-    _grow_both(n, k, order[:30], want)
+    return want
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 def test_tracker_commit_that_kills_a_member_raises(representation):
-    """Drop a critical member from the critical index, so the kill test misses
-    it, and commit a candidate that kills it: the commit must refuse to leave
-    a member with every trace realized. The six members after {1,2,3} realize
-    each of its proper traces but {}, and {7,8,9} realizes {} on it while
-    missing no other member's last trace."""
+    """Clear a killer's dead mark, so the kill test misses it, and commit it:
+    the commit must refuse to leave a member with every trace realized. The
+    six members after {1,2,3} realize each of its proper traces but {}, and
+    {7,8,9} realizes {} on it while missing no other member's last trace."""
     tracker = _tracker(9, 3, representation)
     members = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 3, 6), (1, 4, 5), (2, 4, 6), (3, 5, 6)]
     for m in members:
         assert tracker.try_add(mask_from(m))
-    victim = mask_from((1, 2, 3))
-    assert tracker._critical[0] == [victim]
-    tracker._critical[0].remove(victim)
+    killer = mask_from((7, 8, 9))
+    assert _is_dead(tracker, killer)
+    tracker._dead &= ~(1 << tracker._position[killer])
+    tracker._dead_bytes = tracker._dead.to_bytes(len(tracker._dead_bytes), "little")
+    assert not _is_dead(tracker, killer)
     with pytest.raises(InvariantViolation, match="a kill was missed"):
-        tracker.try_add(mask_from((7, 8, 9)))
+        tracker.try_add(killer)
+
+
+def _is_dead(tracker, G):
+    """G's dead mark, as the kill test reads it from the bytes snapshot, which
+    must hold the dead bitset."""
+    dead = tracker._dead_bytes
+    assert dead == tracker._dead.to_bytes(len(dead), "little")
+    i = tracker._position[G]
+    return bool(dead[i >> 3] >> (i & 7) & 1)
+
+
+def _dead_cases():
+    """(n, k, candidate sequence): per k in 2..4 a prefix and a whole shuffled
+    pool; at k = 6 the sequence of test_tracker_k6_matches_oracle, which marks
+    nothing, and the shattered family without the member realizing {1,2,3} on
+    {1..6}, whose killers are {1,2,3} plus any three of 7..12."""
+    rng = SplitMix64(24)
+    for k in range(2, 5):
+        for length in (18, None):
+            n = k + 3 + rng.below(3)
+            pool = list(k_subset_masks(n, k))
+            rng.shuffle(pool)
+            yield n, k, pool[:length]
+    yield 9, 6, _k6_pool()[:12]
+    yield 12, 6, [m for m in _shattered_family(6) if m & 63 != 0b111]
+
+
+def test_tracker_dead_set_matches_occupancy():
+    """After growing, in both representations, a non-member G is dead exactly
+    when some member's occupancy word over members + [G] covers every proper
+    trace: G would kill that member."""
+    for n, k, sequence in _dead_cases():
+        proper = proper_trace_mask(k)
+
+        def kills(members, G):
+            words = occupancy_words(members + [G], k).words[:-1]
+            return any(w & proper == proper for w in words)
+
+        trackers = _grow_both(n, k, sequence, _recheck_verdict(k))
+        for name, tracker in trackers.items():
+            members = tracker.masks()
+            for G in k_subset_masks(n, k):
+                if G not in members:
+                    assert _is_dead(tracker, G) == kills(members, G), (name, n, k, G)
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (6, 6), (9, 3), (63, 2)])
+def test_candidate_table(n, k):
+    """Positions are indices in canonical order; holders[x] has the positions
+    of the candidates that hold element x + 1, avoiders[x] the others."""
+    table = traces.candidate_table(n, k)
+    want = list(k_subset_masks(n, k))
+    assert list(table.masks) == want
+    assert [table.position[m] for m in want] == list(range(len(want)))
+    assert len(table.holders) == len(table.avoiders) == n
+    for x, (held, avoided) in enumerate(zip(table.holders, table.avoiders)):
+        assert held == sum(1 << i for i, m in enumerate(want) if m >> x & 1)
+        assert avoided == sum(1 << i for i, m in enumerate(want) if not m >> x & 1)
