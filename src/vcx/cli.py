@@ -41,7 +41,7 @@ from .families import (
     shadow,
     vc_dimension,
 )
-from .famfile import dump_family, format_family, load_family
+from .famfile import dump_family, format_family, load_family, read_file
 from .sunflower import find_sunflower, sunflower_threshold, validate_sunflower
 
 # Each command imports the modules it runs in its own body, so that it loads
@@ -205,14 +205,6 @@ def cmd_gen(args, _fam):
         "family_digest": f"{fnv1a64(text.encode()):016x}",
     }
     return payload, [f"wrote {len(fam)} members (n={fam.n}, k={fam.k}) to {args.out}"], 0
-
-
-def _read(path: str, mode: str = "r"):
-    try:
-        with open(path, mode) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def cmd_vc(args, fam):
@@ -438,7 +430,7 @@ def _replay(args) -> int:
     from .fuzzing import check_family
 
     try:
-        manifest = json.loads(_read(args.replay))
+        manifest = json.loads(read_file(args.replay))
         n, d, seed = (manifest[key] for key in ("n", "d", "seed"))
         if not all(isinstance(v, int) for v in (n, d, seed)):
             raise TypeError("n, d and seed must be integers")
@@ -447,7 +439,7 @@ def _replay(args) -> int:
     fam = random_maximal_vc_family(FuzzSeed(seed, n, d))
     fam_path = args.replay[:-5] + ".fam" if args.replay.endswith(".json") else None
     if fam_path:
-        if format_family(fam) != _read(fam_path):
+        if format_family(fam) != read_file(fam_path):
             raise InvariantViolation("regenerated family differs from the dumped artifact")
     check_family(fam, d, seed=seed)
     print(f"replay of seed {seed} (n={n}, d={d}): no failure reproduced")
@@ -471,7 +463,7 @@ def run_command(args, argv) -> int:
     t0 = time.monotonic()
     raw = fam = None
     if getattr(args, "input", None) is not None:
-        raw = _read(args.input, "rb")
+        raw = read_file(args.input, binary=True)
         fam = load_family(args.input)
     payload, lines, code = COMMANDS[args.cmd](args, fam)
     if not args.json:

@@ -12,8 +12,7 @@ import numpy as np
 
 from .bitwords import k_subset_masks
 from .errors import UsageError
-# MAX_THREADS is only re-exported from here: the limits live in families
-from .families import MAX_GEN_CANDIDATES, MAX_GEN_WORK, MAX_THREADS, UniformFamily
+from .families import MAX_GEN_CANDIDATES, MAX_GEN_WORK, MAX_GROUND_SET, UniformFamily
 from .traces import TraceTracker, candidate_table
 
 _MASK64 = (1 << 64) - 1
@@ -116,8 +115,8 @@ def check_random_generation(n: int, d: int):
     before any candidate is listed."""
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
-    if n > 63:
-        raise UsageError(f"ground set {n} exceeds 63")
+    if n > MAX_GROUND_SET:
+        raise UsageError(f"ground set {n} exceeds {MAX_GROUND_SET}")
     _check_cost(n, d + 1)
     # each candidate that passes the kill test splits the family into the
     # 2^(d+1) parts of its traces

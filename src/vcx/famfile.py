@@ -9,7 +9,7 @@ numbers.
 
 from .bitwords import elements_text, mask_of
 from .errors import UsageError
-from .families import UniformFamily
+from .families import MAX_GROUND_SET, UniformFamily
 
 
 def parse_family(text: str, source: str = "<string>") -> UniformFamily:
@@ -28,8 +28,8 @@ def parse_family(text: str, source: str = "<string>") -> UniformFamily:
                 n, k = int(fields[0]), int(fields[1])
             except ValueError:
                 raise UsageError(f"{source}:{lineno}: header must be two integers") from None
-            if not 1 <= n <= 63:
-                raise UsageError(f"{source}:{lineno}: n={n} outside 1..63")
+            if not 1 <= n <= MAX_GROUND_SET:
+                raise UsageError(f"{source}:{lineno}: n={n} outside 1..{MAX_GROUND_SET}")
             if not 1 <= k <= n:
                 raise UsageError(f"{source}:{lineno}: k={k} outside 1..{n}")
             continue
@@ -62,13 +62,18 @@ def format_family(fam: UniformFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_family(path: str) -> UniformFamily:
+def read_file(path: str, binary: bool = False):
+    """path's contents, as bytes or as UTF-8 text; a file that cannot be read
+    or decoded is a UsageError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    return parse_family(text, source=path)
+
+
+def load_family(path: str) -> UniformFamily:
+    return parse_family(read_file(path), source=path)
 
 
 def dump_family(fam: UniformFamily, path: str) -> str:

@@ -35,6 +35,11 @@ MAX_GEN_WORK = 1 << 23
 MAX_THREADS = 64
 
 
+def check_threads(threads: int):
+    if threads > MAX_THREADS:
+        raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
+
+
 @dataclass(frozen=True)
 class UniformFamily:
     """A k-uniform family over [n]: distinct k-subsets as masks, ascending."""

@@ -16,7 +16,7 @@ from math import comb
 from .certificates import build_assignment, check_member_pairs, classify_fiber, fiber_size_histogram
 from .constructions import FuzzSeed, check_random_generation, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
-from .families import MAX_THREADS, UniformFamily
+from .families import UniformFamily, check_threads
 from .famfile import format_family
 from .pipeline import run_pipeline
 
@@ -171,8 +171,7 @@ def fuzz_campaign(
     """
     if d < 1:
         raise UsageError(f"fuzz needs d >= 1, got d={d}")
-    if threads > MAX_THREADS:
-        raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
+    check_threads(threads)
     if n < 2 * (d + 1):
         # any two (d+1)-sets meet, so no member realizes the empty trace and
         # every candidate joins the family; the generator's own refusals

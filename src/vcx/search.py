@@ -91,7 +91,7 @@ from math import comb
 from .bitwords import k_subset_masks, positions_of, submasks
 from .constructions import star_family
 from .errors import InvariantViolation, UsageError
-from .families import MAX_THREADS, UniformFamily, vc_dimension
+from .families import MAX_GROUND_SET, UniformFamily, check_threads, vc_dimension
 from .traces import (
     compress_trace,
     full_trace_bit,
@@ -434,10 +434,9 @@ def _search(
     """
     if not 1 <= d + 1 <= n:
         raise UsageError(f"need 1 <= d+1 <= n, got n={n} d={d}")
-    if threads > MAX_THREADS:
-        raise UsageError(f"{threads} worker processes exceed the limit of {MAX_THREADS}")
-    if n > 63:
-        raise UsageError(f"ground set {n} exceeds 63")
+    check_threads(threads)
+    if n > MAX_GROUND_SET:
+        raise UsageError(f"ground set {n} exceeds {MAX_GROUND_SET}")
     cands = comb(n, d + 1)
     if cands > MAX_CANDIDATES or cands << (d + 1) > MAX_TRACE_ENTRIES:
         raise UsageError(

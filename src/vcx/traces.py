@@ -17,13 +17,8 @@ the numpy pass to.
 TraceTracker, the generator's incremental form, is plain Python over the
 candidate table of (n, k): every k-subset of [n] with its position, and per
 element the bitsets of the positions of the candidates that hold it and of
-those that avoid it. The tracker keeps the set of dead candidates, those whose
-commit would realize the last proper trace of some member, as a bitset over
-those positions, so most rejections cost one dict lookup and one bit read. A
-candidate that is not dead is checked against every member, by a walk over
-per-member trace sets while the family stays small, and by splitting member
-bitsets on the candidate's elements from BITSET_MIN_CANDIDATES candidate
-k-sets up, where the walk's cost, linear in the family, dominates generation.
+those that avoid it. Its class docstring sets out the dead candidates it
+keeps and its two member stores.
 """
 
 from functools import lru_cache
@@ -219,7 +214,9 @@ class TraceTracker:
     InvariantViolation.
 
     A candidate that passes the kill test is checked and committed in one of
-    two member representations, chosen once from C(n, k):
+    two member stores, chosen once from C(n, k). Each hands the members a
+    commit leaves critical to one rule, _mark_critical, with a test of the
+    traces realized on them; try_add alone reads and refreshes the snapshot:
 
     - the set walk (below BITSET_MIN_CANDIDATES candidates): each member keeps
       the set of traces realized on it, self-trace included; a candidate
@@ -238,7 +235,6 @@ class TraceTracker:
     """
 
     def __init__(self, n: int, k: int):
-        self.n = n
         self.k = k
         self._masks = []
         table = candidate_table(n, k)
@@ -263,14 +259,24 @@ class TraceTracker:
         i = self._position[G]
         if self._dead_bytes[i >> 3] >> (i & 7) & 1:
             return False
-        if self._has is None:
-            return self._add_walk(G)
-        return self._add_bits(G)
+        dead = self._dead
+        if not (self._add_walk(G) if self._has is None else self._add_bits(G)):
+            return False
+        # ints are immutable, so a commit that marked nothing leaves the same
+        # object; one refresh serves all the marks of a commit
+        if self._dead is not dead:
+            self._dead_bytes = self._dead.to_bytes(len(self._dead_bytes), "little")
+        return True
 
-    def _mark_dead(self, F: int, T: int):
-        """Mark dead every candidate G with G & F == T, the one proper trace
-        member F lacks. The commit refreshes the snapshot once for all the
-        marks it makes."""
+    def _mark_critical(self, F: int, realized):
+        """Member F lacks at most one proper trace, and realized(T) tells
+        whether trace T is realized on it: mark dead every candidate G with
+        G & F == T for the one it lacks, or raise when it lacks none."""
+        T = (F - 1) & F
+        while realized(T):
+            if not T:
+                raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
+            T = (T - 1) & F
         holders, avoiders = self._holders, self._avoiders
         dead, rest = -1, F
         while rest:
@@ -280,42 +286,28 @@ class TraceTracker:
             dead &= holders[x] if T & low else avoiders[x]
         self._dead |= dead
 
-    def _refresh(self, dead: int):
-        """Refresh the snapshot if a mark replaced the dead bitset `dead`
-        held before the commit; ints are immutable, so an unmarked commit
-        leaves the same object."""
-        if self._dead is not dead:
-            self._dead_bytes = self._dead.to_bytes(len(self._dead_bytes), "little")
-
     def _add_walk(self, G: int) -> bool:
+        """Commit G unless it shatters itself, and mark the killers of the
+        members it leaves critical; return whether it was committed."""
         own = {F & G for F in self._masks}
         own.add(G)
         everything = 1 << self.k
         if len(own) == everything:
             return False
-        dead = self._dead
         for F, realized in zip(self._masks, self._realized):
             t = F & G
             if t not in realized:
                 realized.add(t)
                 if len(realized) >= everything - 1:
-                    self._mark_critical(F, realized)
+                    self._mark_critical(F, realized.__contains__)
         self._masks.append(G)
         self._realized.append(own)
         if len(own) == everything - 1:
-            self._mark_critical(G, own)
-        self._refresh(dead)
+            self._mark_critical(G, own.__contains__)
         return True
 
-    def _mark_critical(self, F: int, realized: set):
-        if len(realized) == 1 << self.k:
-            raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
-        T = F
-        while T in realized:
-            T = (T - 1) & F
-        self._mark_dead(F, T)
-
     def _add_bits(self, G: int) -> bool:
+        """_add_walk on member bitsets."""
         has = self._has
         # parts[c]: the members whose trace on G has compressed index c, bit j
         # of c standing for G's j-th lowest element; the last part, G itself, is
@@ -330,10 +322,10 @@ class TraceTracker:
         parts.pop()
         if all(parts):
             return False
-        miss, missing, masks, dead = self._miss, self._missing, self._masks, self._dead
+        miss, missing, masks = self._miss, self._missing, self._masks
         i = len(masks)
         bit = 1 << i
-        lacks = []  # the proper traces G lacks
+        lacking, critical = 0, []  # how many proper traces G lacks; critical members
         traces, rest = [0], G  # traces[c]: the trace with compressed index c
         while rest:
             low = rest & -rest
@@ -342,7 +334,7 @@ class TraceTracker:
             traces += [t | low for t in traces]
         for t, part in zip(traces, parts):
             if not part:
-                lacks.append(t)
+                lacking += 1
                 miss[t] = miss.get(t, 0) | bit
                 continue
             gained = part & miss.get(t, 0)
@@ -356,23 +348,11 @@ class TraceTracker:
                 left = missing[j] - 1
                 missing[j] = left
                 if left <= 1:
-                    self._mark_critical_bit(masks[j], j, left)
+                    critical.append(j)
         masks.append(G)
-        missing.append(len(lacks))
-        if len(lacks) == 1:
-            self._mark_dead(G, lacks[0])
-        self._refresh(dead)
+        missing.append(lacking)
+        if lacking == 1:
+            critical.append(i)
+        for j in critical:
+            self._mark_critical(masks[j], lambda t: not miss.get(t, 0) >> j & 1)
         return True
-
-    def _mark_critical_bit(self, F: int, j: int, left: int):
-        """Mark the killers of member j (mask F) dead, or raise when a commit
-        realized its last proper trace."""
-        if not left:
-            raise InvariantViolation(f"commit realized every trace on {F:#x}; a kill was missed")
-        miss = self._miss
-        T = F
-        while True:
-            T = (T - 1) & F
-            if miss.get(T, 0) >> j & 1:
-                break
-        self._mark_dead(F, T)

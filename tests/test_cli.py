@@ -13,9 +13,10 @@ import pytest
 import vcx
 from vcx import cli, fuzzing
 from vcx.certificates import MAX_MEMBER_PAIRS
-from vcx.constructions import MAX_THREADS, FuzzSeed, random_maximal_vc_family
+from vcx.constructions import FuzzSeed, random_maximal_vc_family
 from vcx.errors import InvariantViolation
 from vcx.famfile import format_family, load_family
+from vcx.families import MAX_THREADS
 from vcx.fuzzing import dump_failure_artifact
 
 

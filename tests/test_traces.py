@@ -146,14 +146,18 @@ def _tracker(n, k, representation):
 
 def _grow_both(n, k, candidates, want):
     """Offer the candidates to a tracker of each representation in lockstep;
-    each verdict must equal want(kept, cand). Returns the trackers by
-    representation."""
+    each verdict must equal want(kept, cand), and after each offer both must
+    hold the same dead set and the same snapshot of it. Returns the trackers
+    by representation."""
     trackers = {r: _tracker(n, k, r) for r in REPRESENTATIONS}
+    walk, bits = trackers.values()
     kept = []
     for cand in candidates:
         ok = want(kept, cand)
         for name, tracker in trackers.items():
             assert tracker.try_add(cand) == ok, f"{name}: cand {cand:#x} after {kept}"
+        assert walk._dead == bits._dead, f"cand {cand:#x} after {kept}"
+        assert walk._dead_bytes == bits._dead_bytes, f"cand {cand:#x} after {kept}"
         if ok:
             kept.append(cand)
     for tracker in trackers.values():
