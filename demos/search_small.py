@@ -13,8 +13,9 @@ from vcx import UniformFamily
 from vcx.bitwords import set_text
 
 # Exact extremal numbers at desk scale. For each (n,d) the engine enumerates
-# (d+1)-uniform families with VC dimension at most d, pruning on a running
-# trace tracker, and reports the maximum size with a witness.
+# (d+1)-uniform families with VC dimension at most d over packed occupancy
+# words, pruning with the cuts of the vcx.search docstring, and reports the
+# maximum size with a witness.
 
 
 def fmt(masks):
@@ -32,7 +33,7 @@ def table(rows):
 
 def main():
     ap = argparse.ArgumentParser(description="exact search on small instances")
-    ap.add_argument("--full", action="store_true", help="include the slower (7,2) witness run")
+    ap.add_argument("--full", action="store_true", help="also run the (7,2) witness search")
     args = ap.parse_args()
 
     rows = []

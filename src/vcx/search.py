@@ -44,24 +44,22 @@ the head h, and a transposition that fixes h has none of its moved pairs at h,
 so its walk is the parent's, which passed; the child checks only the
 transpositions that move h (moving[h]). A task root checks all of them.
 
-Deletion bound (exact and order modes). The members that avoid an element x
-form a family on the other n-1 points that meets the same predicate, since
-dropping members only drops traces, so there are at most opt = opt(n-1, d) of
-them, in the same mode and order. Every family below a node therefore has at
-most |(members | live) through x| + opt members, for each x, and the node is
-cut when that is at most best for some x. Each member avoids n-k elements, so
+Deletion bound. The members that avoid an element x form a family on the
+other n-1 points that meets the same predicate, since dropping members only
+drops traces, so there are at most opt = opt(n-1, d) of them (exact's optimum
+in a witness run). Every family below a node therefore has at most
+|(members | live) through x| + opt members, for each x, and the node is cut
+when that is at most best for some x. Each member avoids n-k elements, so
 summing over x gives (n-k) |F| <= n * opt: the root is capped at
 n * opt // (n-k). Like size + |live|, this bounds every family below the node,
 so the argument above covers it: no node on the witness's path is cut before
 best reaches the witness's size, and results and witnesses stay those of the
 uncut search. Settling an include child can drop candidates through any
 element, so all n counts are checked there; an exclude step drops only the
-head, so only the counts of its k elements are. opt comes from _optimum, a
-nested serial search on [n-1] settled once per process. Runs with max_nodes
-or timeout go without the bound, so a budget counts the nodes it always
-counted and no nested search runs outside it. Witness runs go without it too:
-the nested exact search on [n-1] costs more than the witness, 84,651 nodes
-against 7,812 at (8,2).
+head, so only the counts of its k elements are. opt comes from _optimum: the
+table _OPTIMA of settled optima, or a cap chained down from it (any upper
+bound keeps the cut sound), so every run uses the bound and a budget only
+stops the unbudgeted search early.
 
 Packed state: with k = d+1, candidate j owns slot j, bits [j*2^k, (j+1)*2^k),
 of one int `occ` that holds its occupancy word against the current members
@@ -87,6 +85,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .bitwords import k_subset_masks, positions_of, submasks
 from .constructions import star_family
@@ -369,23 +368,26 @@ class _Engine:
                 self.stopped = True
 
 
-_OPTIMA = {}  # (n, d, required mask) -> settled maximum, kept for the process's life
+# (n, d, s) -> the maximum the engine settled on [n], s None for exact: only
+# the keys below the cap _optimum chains; tests/test_search.py re-settles each
+_OPTIMA = MappingProxyType({
+    (4, 1, None): 3, (4, 2, 2): 3, (5, 2, 1): 7, (5, 2, 2): 6,
+    (6, 2, None): 13, (6, 2, 0): 10, (6, 2, 1): 10, (6, 2, 2): 10,
+    (7, 2, None): 16, (7, 2, 0): 15, (7, 2, 1): 15, (7, 2, 2): 15, (8, 2, None): 22,
+})
 
 
-def _optimum(n: int, d: int, req: int):
-    """The maximum of the exact or order search on [n] with required trace
-    layer req, None when [n] holds no (d+1)-set: opt(n, d) of the deletion
-    bound on [n+1]. A nested serial run without a budget settles it once per
-    process; its nodes count toward no caller's. It runs before the caller
-    builds its own tables, so the nested chain cannot evict them."""
+def _optimum(n: int, d: int, s: int | None):
+    """An upper bound on the maximum of the exact (s None) or order-s search on
+    [n], None when [n] holds no (d+1)-set: opt(n, d) of the deletion bound on
+    [n+1]. A key _OPTIMA lacks gets the deletion cap chained from the key
+    below, which is C(n, d+1) while every family qualifies."""
     if n <= d:
         return None
-    key = n, d, req
-    if key not in _OPTIMA:
-        eng = _Engine(n, d, req, opt=_optimum(n - 1, d, req))
-        eng.run(1, [0], 0)
-        _OPTIMA[key] = eng.best
-    return _OPTIMA[key]
+    if (n, d, s) in _OPTIMA:
+        return _OPTIMA[n, d, s]
+    below, cap = _optimum(n - 1, d, s), comb(n, d + 1)
+    return cap if below is None else min(cap, n * below // (n - d - 1))
 
 
 def _required_mask(k: int, mode: str, s: int | None) -> int:
@@ -455,9 +457,7 @@ def _search(
         seed_best, seed_witness = len(star), star.masks
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
-    # the deletion bound; budgeted and witness runs go without (module docstring)
-    unbudgeted = max_nodes is None and timeout is None
-    opt = _optimum(n - 1, d, req) if unbudgeted and mode != MODE_WITNESS else None
+    opt = _optimum(n - 1, d, s)
     probe = threads > 1 and max_nodes is None
     eng = _Engine(n, d, req, max_nodes=_PROBE if probe else max_nodes, deadline=deadline,
                   opt=opt)

@@ -13,6 +13,7 @@ from vcx.search import (
     _OPTIMA,
     _PROBE,
     _Engine,
+    _optimum,
     certificate_order_max,
     exact_max,
     lower_bound_witness,
@@ -189,24 +190,37 @@ def test_serial_and_parallel_agree(fn, args):
         assert parallel.nodes == 88_402
 
 
+# exact (7,2), 84,063 nodes: a budget up to 100,000 binds past _PROBE
+BUDGET_CALLS = [
+    (certificate_order_max, (7, 2, 0)),
+    (certificate_order_max, (7, 2, 1)),
+    (certificate_order_max, (7, 2, 2)),
+    (exact_max, (6, 2)),
+    (exact_max, (7, 2)),
+]
+RESULT_FIELDS = ("best", "optimal", "witness", "nodes", "nodes_exact")
+
+
+def _fields(r):
+    return [getattr(r, f) for f in RESULT_FIELDS]
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    call=st.sampled_from([
-        (certificate_order_max, (7, 2, 0)),
-        (certificate_order_max, (7, 2, 1)),
-        (certificate_order_max, (7, 2, 2)),
-        (exact_max, (6, 2)),
-        (exact_max, (7, 2)),  # 84,651 nodes: the budget binds past _PROBE
-    ]),
-    max_nodes=st.integers(1, 100_000),
-)
+@given(call=st.sampled_from(BUDGET_CALLS), max_nodes=st.integers(1, 100_000))
 def test_budgets_mean_the_same_with_threads(call, max_nodes):
     """A budgeted search runs serially whatever threads is."""
     fn, args = call
     serial = fn(*args, max_nodes=max_nodes)
-    parallel = fn(*args, max_nodes=max_nodes, threads=2)
-    fields = ("best", "optimal", "witness", "nodes", "nodes_exact")
-    assert [getattr(parallel, f) for f in fields] == [getattr(serial, f) for f in fields]
+    assert _fields(fn(*args, max_nodes=max_nodes, threads=2)) == _fields(serial)
+
+
+@settings(max_examples=20, deadline=None)
+@given(call=st.sampled_from(BUDGET_CALLS), spare=st.integers(0, 10_000))
+def test_a_budget_only_stops_the_unbudgeted_search(call, spare):
+    """A budget the search never reaches returns the unbudgeted result."""
+    fn, args = call
+    free = fn(*args)
+    assert _fields(fn(*args, max_nodes=free.nodes + spare)) == _fields(free)
 
 
 def test_probe_stopped_by_deadline_starts_no_pool():
@@ -325,24 +339,58 @@ def test_deletion_bound_prunes_the_search():
     assert certificate_order_max(7, 2, 2).nodes < 2_813
 
 
-def test_budgeted_and_witness_runs_keep_their_node_counts():
-    """Runs with a budget and witness runs go without the deletion bound; the
-    head-only lex check changes no count."""
-    assert exact_max(7, 2, max_nodes=90_000).nodes == 84_651
-    assert lower_bound_witness(8, 2).nodes == 7_812
+def test_budgeted_and_witness_runs_use_the_deletion_bound():
+    """Every run reads opt(n-1, d) from the table, so a budget the search does
+    not reach counts the unbudgeted nodes, and a witness run is cut as well."""
+    assert exact_max(7, 2, max_nodes=90_000).nodes == exact_max(7, 2).nodes == 84_063
+    assert lower_bound_witness(8, 2).nodes == 2_124  # 7,812 without the bound
 
 
-def test_optimum_table_matches_ilp_oracle():
-    """Every sub-instance optimum the (7,2) searches size their deletion
-    bound with agrees with the ILP oracle."""
-    exact_max(7, 2)
-    for s in range(3):
-        certificate_order_max(7, 2, s)
+@pytest.mark.parametrize("fn, args", [(exact_max, (7, 2)), (lower_bound_witness, (8, 2))],
+                         ids=["exact_7_2", "witness_8_2"])
+def test_a_serial_search_runs_one_engine(monkeypatch, fn, args):
+    """No search runs inside another: opt(n-1, d) is data."""
+    runs = []
+    run = _Engine.run
+
+    def counted(self, *a, **kw):
+        runs.append(a)
+        return run(self, *a, **kw)
+
+    monkeypatch.setattr(_Engine, "run", counted)
+    fn(*args)
+    assert len(runs) == 1
+
+
+def _settled(n, d, s):
+    """The engine's maximum on [n], its deletion bound sized by the table's
+    opt(n-1, d); the test fails unless the run exhausts the tree."""
+    req = proper_trace_mask(d + 1) if s is None else size_layer_mask(d + 1, s)
+    eng = _Engine(n, d, req, opt=_optimum(n - 1, d, s))
+    eng.run(1, [0], 0)
+    assert eng.exhausted
+    return eng.best
+
+
+def test_optimum_table_entries_resettle():
+    """Each (d, s) of the table, re-settled for n = d+1 up to its largest key,
+    bottom up, so each run leans only on values already checked. Exact (8,2)
+    runs on two workers and uses only the (7,2) entry."""
+    top = {}
+    for n, d, s in _OPTIMA:
+        top[d, s] = max(top.get((d, s), n), n)
+    for (d, s), last in top.items():
+        for n in range(d + 1, last + 1):
+            if (n, d, s) == (8, 2, None):
+                r = exact_max(8, 2, threads=2)
+                assert r.optimal
+                best = r.best
+            else:
+                best = _settled(n, d, s)
+            assert _optimum(n, d, s) == best, f"({n},{d},{s}) settles at {best}"
     for n in (4, 5, 6):
-        assert _OPTIMA[n, 2, proper_trace_mask(3)] == oracle_ilp_max(n, 2)
-    for n in (5, 6):
-        for s in range(3):
-            assert _OPTIMA[n, 2, size_layer_mask(3, s)] == oracle_ilp_max(n, 2, s)
+        for s in (None, 0, 1, 2):
+            assert _optimum(n, 2, s) == oracle_ilp_max(n, 2, s), (n, s)
 
 
 @pytest.mark.parametrize(
