@@ -39,10 +39,11 @@ smaller end is not a member. Packed, each transposition is the slot-low mask of
 its smaller ends c plus its moved pairs grouped by index offset
 delta = tau(c) - c, as (delta * 2^k, slot mask) pairs (one to three groups on
 (7,2) and (8,2)), so the member bits of the images land at slot c with one
-shift and one AND per group. An include child differs from its parent only by
-the head h, and a transposition that fixes h has none of its moved pairs at h,
-so its walk is the parent's, which passed; the child checks only the
-transpositions that move h (moving[h]). A task root checks all of them.
+shift and one AND per group. An include child differs from its parent, which
+passed, only by the head h. A transposition that fixes h walks as the parent
+did; one that maps h to a later candidate meets the parent's pairs up to h's,
+whose smaller end h is now a member. Neither cuts, so the child checks only
+those that map h to an earlier candidate (moving[h]); a task root, all.
 
 Deletion bound. The members that avoid an element x form a family on the
 other n-1 points that meets the same predicate, since dropping members only
@@ -84,7 +85,7 @@ Three modes share the engine and differ only in the required trace layer:
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from types import MappingProxyType
 
 from .bitwords import k_subset_masks, positions_of, submasks
@@ -105,8 +106,8 @@ MODE_ORDER = "order"
 
 _TIME_CHECK_STRIDE = 4096
 
-# Serial nodes a threads > 1 search runs before it starts a pool (see _search):
-# about 40 ms at 0.3-0.4M nodes/s, twice the pool's start-up cost on two cores.
+# Serial nodes a threads > 1 search runs before it starts a pool (see _search): 25-35 ms
+# on exact (7,2) and (8,2) (2 vCPUs), 2-3 times a two-worker pool's 10-16 ms start and stop.
 _PROBE = 1 << 14
 
 # Cost guard, checked before any enumeration. The engine keeps two rows of
@@ -153,9 +154,9 @@ class _Budget(Exception):
 def _tables(n: int, d: int):
     """(cands, onto, seen, swaps, moving, through, through_of) for the packed
     engine; see the module docstring. moving[j] holds the swaps of the
-    transpositions that move cands[j], through[x] the slot-low mask of the
-    candidates through element x+1, and through_of[j] the through masks of the
-    elements of cands[j]."""
+    transpositions (e+1 e+2) that map cands[j] to an earlier candidate,
+    through[x] the slot-low mask of the candidates through element x+1, and
+    through_of[j] the through masks of the elements of cands[j]."""
     k = d + 1
     cands = tuple(k_subset_masks(n, k))
     # index_on[h][t]: compressed index of trace t on cands[h]
@@ -184,10 +185,8 @@ def _tables(n: int, d: int):
                 ends |= 1 << (c << k)
         if ends:
             swaps.append((ends, tuple(groups.items())))
-            moved.append(pair)
-    moving = tuple(
-        tuple(sw for sw, pair in zip(swaps, moved) if m & pair not in (0, pair)) for m in cands
-    )
+            moved.append(e)
+    moving = tuple(tuple(sw for sw, e in zip(swaps, moved) if m >> e & 3 == 2) for m in cands)
     through = tuple(
         sum(1 << (j << k) for j, m in enumerate(cands) if m >> x & 1) for x in range(n)
     )
@@ -201,37 +200,128 @@ class _Engine:
     def __init__(self, n: int, d: int, required_mask: int, max_nodes=None, deadline=None,
                  opt=None):
         self.k = k = d + 1
-        (self.cands, self.onto, self.seen, self.swaps, self.moving, self.through,
+        (self.cands, self.onto, seen, self.swaps, self.moving, self.through,
          self.through_of) = _tables(n, d)
-        self.slot = (1 << (1 << k)) - 1
-        self.low = ((1 << (len(self.cands) << k)) - 1) // self.slot
-        self.req = required_mask * self.low
-        self.full = full_trace_bit(k) * self.low
-        self.top = (1 << k) - 1  # the full trace's bit in a slot
-        self.half = (self.slot >> 1) * self.low
-        self.max_nodes = max_nodes
+        slot = (1 << (1 << k)) - 1
+        self.low = low = ((1 << (len(self.cands) << k)) - 1) // slot
+        req = required_mask * low
+        self.full = full_trace_bit(k) * low
+        top = (1 << k) - 1  # the full trace's bit in a slot
+        half = (slot >> 1) * low
+        self.budget_end = inf if max_nodes is None else max_nodes + 1  # the count that overruns
         self.deadline = deadline
-        self.fp_cap = comb(n, d)
         # opt(n-1, d) for the deletion bound; without one, a value no best reaches
         self.opt = len(self.cands) + 1 if opt is None else opt
-        if opt is not None:
-            self.fp_cap = min(self.fp_cap, n * opt // (n - k))
-        self.nodes = 0
+        self.fp_cap = comb(n, d) if opt is None else min(comb(n, d), n * opt // (n - k))
         self.halt = None  # (members, live) of the node that ran out of max_nodes
+
+        def settle(occ, members, crit, live):
+            """The state for occ and members, with live cut to the candidates
+            that can still join, given the members that were critical before.
+
+            A candidate is dead when its slot holds every required trace. A
+            member with one required trace t left is critical, and every
+            candidate whose trace on it is t would kill it; criticals found
+            before had their killers dropped then, since traces only
+            accumulate. Setting bit 0 of the non-member slots makes every slot
+            of x nonzero, so x - low borrows inside each slot and x & (x - low)
+            clears one bit per slot."""
+            miss = req & ~occ
+            live &= (miss + half) >> top
+            x = miss | (low ^ members)
+            now = members & ~((x & (x - low)) + half >> top)
+            new = now & ~crit
+            while new:
+                b = new & -new
+                p = b.bit_length() - 1
+                live &= ~(seen[p >> k] >> (miss >> p & slot).bit_length() - 1)
+                new ^= b
+            return occ, members, now, live
+
+        self._settle = settle
 
     def run(self, start_index: int, member_indices, seed_best: int, seed_witness=(),
             stop_at=None):
         """Run the subtree that has fixed decisions below start_index; the
-        whole tree is run(1, [0], ...)."""
-        self.best, self.witness, self.stop_at = seed_best, tuple(seed_witness), stop_at
-        self.stopped = stop_at is not None and seed_best >= stop_at
+        whole tree is run(1, [0], ...). A node is counted and checked against
+        the budget, the deadline, the bound and the lex cut where it is made:
+        the task root here, an include child right after its parent settles
+        it, an exclude step at the bottom of the loop, so only an include child
+        that passes costs a call. The finally hands the counters to the engine."""
+        k, onto, moving, through, through_of, settle, dominated = (
+            self.k, self.onto, self.moving, self.through, self.through_of, self._settle,
+            self._dominated)
+        cap, opt, deadline, budget_end = self.fp_cap, self.opt, self.deadline, self.budget_end
+        nodes, check = 0, min(_TIME_CHECK_STRIDE, budget_end)
+        best, witness = seed_best, tuple(seed_witness)
+        stopped = stop_at is not None and best >= stop_at
+
+        def tick(members, live):
+            """The checks due at this count: the budget past max_nodes, the
+            deadline every _TIME_CHECK_STRIDE nodes."""
+            nonlocal check
+            if nodes >= budget_end:
+                self.halt = members, live
+                raise _Budget
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Budget
+            check = min(nodes + _TIME_CHECK_STRIDE, budget_end)
+
+        def dfs(occ, members, crit, live, size):
+            """The subtree of a node that passed its cuts. Members, and so the
+            lex cut, stay fixed along the exclude loop, and an exclude step
+            changes the deletion bound's counts only at the elements of the
+            dropped head. A leaf passed the bound, so it beats best."""
+            nonlocal nodes, best, witness, stopped
+            counts = through
+            while True:
+                if not live:
+                    best = size
+                    witness = tuple(self.cands[i] for i in self.indices(members))
+                    stopped = stop_at is not None and best >= stop_at
+                    return
+                slack = best - opt
+                if slack >= 0:
+                    ml = members | live
+                    for t in counts:
+                        if (ml & t).bit_count() <= slack:
+                            return
+                head = live & -live
+                j = head.bit_length() - 1 >> k
+                c_occ, c_members, c_crit, c_live = settle(
+                    occ | onto[j], members | head, crit, live ^ head)
+                nodes += 1
+                if nodes >= check:
+                    tick(c_members, c_live)
+                bound = size + 1 + c_live.bit_count()
+                if (bound if bound < cap else cap) > best and not dominated(c_members, moving[j]):
+                    dfs(c_occ, c_members, c_crit, c_live, size + 1)
+                    if stopped:
+                        return
+                live ^= head  # the exclude branch drops the head
+                counts = through_of[j]
+                nodes += 1
+                if nodes >= check:
+                    tick(members, live)
+                bound = size + live.bit_count()
+                if (bound if bound < cap else cap) <= best:
+                    return
+
         try:
-            if not self.stopped:
-                self._dfs(*self.state(start_index, member_indices), len(member_indices),
-                          self.swaps)
-            self.exhausted = not self.stopped
+            if not stopped:
+                occ, members, crit, live = self.state(start_index, member_indices)
+                size = len(member_indices)
+                nodes += 1
+                if nodes >= check:
+                    tick(members, live)
+                bound = size + live.bit_count()
+                if (bound if bound < cap else cap) > best and not dominated(members):
+                    dfs(occ, members, crit, live, size)
+            self.exhausted = not stopped
         except _Budget:
             self.exhausted = False
+        finally:
+            self.nodes, self.best, self.witness, self.stopped = nodes, best, witness, stopped
 
     def state(self, start, member_indices):
         """(occ, members, critical, live) after fixing member_indices and
@@ -243,29 +333,6 @@ class _Engine:
             members |= 1 << (m << k)
         later = self.low >> (start << k) << (start << k)
         return self._settle(occ, members, 0, later & ~members)
-
-    def _settle(self, occ, members, crit, live):
-        """The state for occ and members, with live cut to the candidates that
-        can still join, given the members that were critical before.
-
-        A candidate is dead when its slot holds every required trace. A member
-        with one required trace t left is critical, and every candidate whose
-        trace on it is t would kill it; criticals found before had their
-        killers dropped then, since traces only accumulate. Setting bit 0 of
-        the non-member slots makes every slot of x nonzero, so x - low borrows
-        inside each slot and x & (x - low) clears one bit per slot."""
-        miss = self.req & ~occ
-        live &= (miss + self.half) >> self.top
-        x = miss | (self.low ^ members)
-        now = members & ~((x & (x - self.low)) + self.half >> self.top)
-        new = now & ~crit
-        while new:
-            b = new & -new
-            p = b.bit_length() - 1
-            t = (miss >> p & self.slot).bit_length() - 1
-            live &= ~(self.seen[p >> self.k] >> t)
-            new ^= b
-        return occ, members, now, live
 
     def _include_head(self, occ, members, crit, live):
         """The child state that includes the lowest live candidate."""
@@ -318,60 +385,14 @@ class _Engine:
         walk(*self.state(1, [0]))
         return frontier
 
-    def _dfs(self, occ, members, crit, live, size, swaps):
-        """The subtree of a node, with swaps the transpositions its lex check
-        needs: all of them at a task root, those that move the head at an
-        include child. Members, and so the lex cut, stay fixed along the
-        exclude loop, and an exclude step changes the deletion bound's counts
-        only at the elements of the dropped head."""
-        fresh = True
-        through = self.through
-        while True:
-            self.nodes += 1
-            if self.max_nodes is not None and self.nodes > self.max_nodes:
-                self.halt = members, live
-                raise _Budget
-            if self.deadline is not None and self.nodes % _TIME_CHECK_STRIDE == 0:
-                if time.monotonic() > self.deadline:
-                    raise _Budget
-            if self.stopped:
-                return
-            bound = size + live.bit_count()
-            if bound > self.fp_cap:
-                bound = self.fp_cap
-            if bound <= self.best or fresh and self._dominated(members, swaps):
-                return
-            fresh = False
-            if not live:
-                self._record(size, members)
-                return
-            slack = self.best - self.opt
-            if slack >= 0:
-                ml = members | live
-                for t in through:
-                    if (ml & t).bit_count() <= slack:
-                        return
-            head = live & -live
-            j = head.bit_length() - 1 >> self.k
-            self._dfs(*self._settle(occ | self.onto[j], members | head, crit, live ^ head),
-                      size + 1, self.moving[j])
-            if self.stopped:
-                return
-            live ^= head  # the exclude branch drops the head
-            through = self.through_of[j]
-
-    def _record(self, size, members):
-        if size > self.best:
-            self.best = size
-            self.witness = tuple(self.cands[i] for i in self.indices(members))
-            if self.stop_at is not None and self.best >= self.stop_at:
-                self.stopped = True
-
 
 # (n, d, s) -> the maximum the engine settled on [n], s None for exact: only
 # the keys below the cap _optimum chains; tests/test_search.py re-settles each
 _OPTIMA = MappingProxyType({
-    (4, 1, None): 3, (4, 2, 2): 3, (5, 2, 1): 7, (5, 2, 2): 6,
+    (4, 1, None): 3, (5, 1, None): 4, (6, 1, None): 5, (7, 1, None): 6,
+    (4, 1, 0): 3, (5, 1, 0): 4, (6, 1, 0): 5, (7, 1, 0): 6,
+    (3, 1, 1): 2, (4, 1, 1): 3, (5, 1, 1): 4, (6, 1, 1): 5, (7, 1, 1): 6,
+    (4, 2, 2): 3, (5, 2, 1): 7, (5, 2, 2): 6,
     (6, 2, None): 13, (6, 2, 0): 10, (6, 2, 1): 10, (6, 2, 2): 10,
     (7, 2, None): 16, (7, 2, 0): 15, (7, 2, 1): 15, (7, 2, 2): 15, (8, 2, None): 22,
 })

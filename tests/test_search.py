@@ -12,6 +12,7 @@ from vcx.search import (
     MAX_CANDIDATES,
     _OPTIMA,
     _PROBE,
+    _TIME_CHECK_STRIDE,
     _Engine,
     _optimum,
     certificate_order_max,
@@ -112,7 +113,7 @@ def test_order_mode_rejects_bad_s():
 def test_budget_cuts_mark_nonoptimal():
     r = exact_max(6, 2, max_nodes=50)
     assert not r.optimal
-    assert r.nodes <= 60
+    assert r.nodes == 51  # the node that overran is counted
     assert r.best >= 1
 
 
@@ -227,6 +228,8 @@ def test_probe_stopped_by_deadline_starts_no_pool():
     r = exact_max(7, 2, timeout=0, threads=2)
     assert not r.optimal
     assert r.nodes_exact  # the pool would have made the count inexact
+    # the deadline is read at every _TIME_CHECK_STRIDE-th node, after its count
+    assert exact_max(7, 2, timeout=0).nodes == _TIME_CHECK_STRIDE
 
 
 def _keeps_certificates(sets, s):
@@ -316,8 +319,8 @@ def test_lex_cut_matches_moved_pair_walk(data):
 @given(st.data())
 def test_head_only_lex_check_matches_full_check(data):
     """At the include child of a node that passes every transposition, the
-    transpositions that move the head decide the cut alone. About a quarter
-    of the drawn roots pass and have a head."""
+    transpositions that map the head to an earlier candidate decide the cut
+    alone. About a quarter of the drawn roots pass and have a head."""
     _, eng, _, _, start, members = _draw_task_root(data)
     state = eng.state(start, members)
     if eng._dominated(state[1]) or not state[-1]:
@@ -332,6 +335,31 @@ def test_lex_cut_prunes_the_search():
     # without the cut: 10,131 and 50,741 nodes
     assert exact_max(6, 2).nodes < 1000
     assert certificate_order_max(7, 2, 1).nodes < 5000
+
+
+NODE_COUNTS = [
+    (exact_max, (6, 2), 599),
+    (certificate_order_max, (7, 2, 0), 189),
+    (certificate_order_max, (7, 2, 1), 1_107),
+    (certificate_order_max, (7, 2, 2), 1_653),
+    # d = 1 bounds with the table's optima: 87, 181, 17 and 47 nodes with the
+    # cap chained from opt(4, 1) = 3
+    (exact_max, (6, 1), 53),
+    (exact_max, (7, 1), 101),
+    (certificate_order_max, (6, 1, 0), 11),
+    (certificate_order_max, (6, 1, 1), 35),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, nodes", NODE_COUNTS, ids=[f"{fn.__name__}{args}" for fn, args, _ in NODE_COUNTS]
+)
+def test_serial_node_counts_are_pinned(fn, args, nodes):
+    """The visited tree, node for node: a child the bound or the lex cut
+    removes is counted as well as every child that is searched."""
+    r = fn(*args)
+    assert r.optimal and r.nodes_exact
+    assert r.nodes == nodes
 
 
 def test_deletion_bound_prunes_the_search():
