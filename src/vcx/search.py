@@ -43,7 +43,9 @@ shift and one AND per group. An include child differs from its parent, which
 passed, only by the head h. A transposition that fixes h walks as the parent
 did; one that maps h to a later candidate meets the parent's pairs up to h's,
 whose smaller end h is now a member. Neither cuts, so the child checks only
-those that map h to an earlier candidate (moving[h]); a task root, all.
+those that map h to an earlier candidate (moving[h]); a task root, all. Being
+cheaper than settling the child, the check comes first, and a child it cuts is
+counted but not settled.
 
 Deletion bound. The members that avoid an element x form a family on the
 other n-1 points that meets the same predicate, since dropping members only
@@ -106,8 +108,8 @@ MODE_ORDER = "order"
 
 _TIME_CHECK_STRIDE = 4096
 
-# Serial nodes a threads > 1 search runs before it starts a pool (see _search): 25-35 ms
-# on exact (7,2) and (8,2) (2 vCPUs), 2-3 times a two-worker pool's 10-16 ms start and stop.
+# Serial nodes a threads > 1 search runs before it starts a pool (see _search): 26-60 ms
+# on exact (7,2) and (8,2) (2 shared vCPUs), 2-5 times a two-worker pool's 11-14 ms start and stop.
 _PROBE = 1 << 14
 
 # Cost guard, checked before any enumeration. The engine keeps two rows of
@@ -245,9 +247,11 @@ class _Engine:
         """Run the subtree that has fixed decisions below start_index; the
         whole tree is run(1, [0], ...). A node is counted and checked against
         the budget, the deadline, the bound and the lex cut where it is made:
-        the task root here, an include child right after its parent settles
-        it, an exclude step at the bottom of the loop, so only an include child
-        that passes costs a call. The finally hands the counters to the engine."""
+        the task root here, an include child by its parent, an exclude step at
+        the bottom of the loop, so only an include child that passes costs a
+        call. The parent lex-checks the child's members first and settles only
+        a child that passes, or one whose count is due for tick, so that halt
+        holds a settled live set. The finally hands the counters to the engine."""
         k, onto, moving, through, through_of, settle, dominated = (
             self.k, self.onto, self.moving, self.through, self.through_of, self._settle,
             self._dominated)
@@ -288,16 +292,18 @@ class _Engine:
                             return
                 head = live & -live
                 j = head.bit_length() - 1 >> k
-                c_occ, c_members, c_crit, c_live = settle(
-                    occ | onto[j], members | head, crit, live ^ head)
                 nodes += 1
-                if nodes >= check:
-                    tick(c_members, c_live)
-                bound = size + 1 + c_live.bit_count()
-                if (bound if bound < cap else cap) > best and not dominated(c_members, moving[j]):
-                    dfs(c_occ, c_members, c_crit, c_live, size + 1)
-                    if stopped:
-                        return
+                cut = dominated(members | head, moving[j])
+                if not cut or nodes >= check:  # a lex-cut child is settled only for tick
+                    c_occ, c_members, c_crit, c_live = settle(
+                        occ | onto[j], members | head, crit, live ^ head)
+                    if nodes >= check:
+                        tick(c_members, c_live)
+                    bound = size + 1 + c_live.bit_count()
+                    if not cut and (bound if bound < cap else cap) > best:
+                        dfs(c_occ, c_members, c_crit, c_live, size + 1)
+                        if stopped:
+                            return
                 live ^= head  # the exclude branch drops the head
                 counts = through_of[j]
                 nodes += 1

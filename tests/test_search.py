@@ -1,3 +1,4 @@
+from hashlib import sha256
 from math import comb
 
 import pytest
@@ -362,6 +363,53 @@ def test_serial_node_counts_are_pinned(fn, args, nodes):
     assert r.nodes == nodes
 
 
+def _engine(n, d, s, max_nodes=None):
+    """The engine of a serial exact (s None) or order-s search on [n]."""
+    req = proper_trace_mask(d + 1) if s is None else size_layer_mask(d + 1, s)
+    return _Engine(n, d, req, max_nodes=max_nodes, opt=_optimum(n - 1, d, s))
+
+
+# the benchmark's serial instances: 300, 95, 554 and 827 settles when every
+# include child is settled before its lex check
+SETTLE_COUNTS = [((6, 2, None), 181), ((7, 2, 0), 57), ((7, 2, 1), 272), ((7, 2, 2), 374)]
+
+
+@pytest.mark.parametrize("nds, settles", SETTLE_COUNTS, ids=[str(a) for a, _ in SETTLE_COUNTS])
+def test_lex_cut_children_are_not_settled(nds, settles):
+    """An include child is lex-checked on its members before it is settled,
+    and one the lex cut removes is counted without being settled."""
+    eng = _engine(*nds)
+    calls = []
+    settle = eng._settle
+
+    def counted(*args):
+        calls.append(args)
+        return settle(*args)
+
+    eng._settle = counted
+    eng.run(1, [0], 0)
+    assert eng.exhausted and len(calls) == settles
+
+
+def test_budget_halts_hold_settled_live_sets():
+    """At every budget through the full tree of order (7,2,1) and exact (6,2),
+    every candidate live at the halt node can join its members, as
+    collect_frontier needs, and halt, nodes, best and exhaustion match their
+    digest from before lex-cut children went unsettled."""
+    rows = []
+    for (n, d, s), top in [((7, 2, 1), 1_107), ((6, 2, None), 599)]:
+        sets = [elements_of(m) for m in _engine(n, d, s).cands]
+        for b in range(top + 1):
+            eng = _engine(n, d, s, max_nodes=b)
+            eng.run(1, [0], 0)
+            rows.append((b, eng.halt, eng.nodes, eng.best, eng.exhausted))
+            if eng.halt is not None:
+                fam = [sets[i] for i in eng.indices(eng.halt[0])]
+                for j in eng.indices(eng.halt[1]):
+                    assert _keeps_certificates(fam + [sets[j]], s), (n, s, b, j)
+    assert sha256(repr(rows).encode()).hexdigest()[:16] == "6b1368ba0380fb2e"
+
+
 def test_deletion_bound_prunes_the_search():
     # without the bound: 2,813 nodes; results alone cannot show the bound
     assert certificate_order_max(7, 2, 2).nodes < 2_813
@@ -393,8 +441,7 @@ def test_a_serial_search_runs_one_engine(monkeypatch, fn, args):
 def _settled(n, d, s):
     """The engine's maximum on [n], its deletion bound sized by the table's
     opt(n-1, d); the test fails unless the run exhausts the tree."""
-    req = proper_trace_mask(d + 1) if s is None else size_layer_mask(d + 1, s)
-    eng = _Engine(n, d, req, opt=_optimum(n - 1, d, s))
+    eng = _engine(n, d, s)
     eng.run(1, [0], 0)
     assert eng.exhausted
     return eng.best
