@@ -22,8 +22,8 @@ SINGLETON = "SINGLETON"
 
 # |F|^2 bound for build_assignment: the numpy occupancy path holds |F| x |F|
 # temporaries; at the limit (4,096 members) that is 16 MiB of uint8 compressed
-# traces plus their words, 64 MiB of uint32 up to k = 5 and 128 MiB of uint64
-# at k = 6
+# traces, which hold the words in place up to k = 3, plus words of 32 MiB
+# (uint16) at k = 4 up to 128 MiB (uint64) at k = 6
 MAX_MEMBER_PAIRS = 1 << 24
 
 
@@ -62,27 +62,32 @@ class CertificateAssignment:
 
         Each certificate must be a valid one and the canonical choice: no
         unrealized trace is larger or of equal size and canonically earlier.
-        The fiber-size facts are checked too.
+        The fiber-size facts are checked too: a size-d certificate has one
+        superset in the family, so its fiber, whose members all contain it,
+        is that one member; a size-(d-1) fiber has at most 3 members.
         """
-        fam, occ = self.family, self.occupancy
-        if set(self.assigned) != set(fam.masks) or len(occ.words) != len(fam):
+        fam, occ, assigned, d = self.family, self.occupancy, self.assigned, self.d
+        supersets = fam.shadow_count  # d-set -> members containing it
+        # with equal sizes, finding every member finds the whole domain
+        if len(assigned) != len(fam) or len(occ.words) != len(fam):
             raise InvariantViolation("assignment domain differs from the family")
-        for m, word, positions in zip(fam.masks, occ.words, occ.positions):
-            c = self.assigned[m]
+        for m, word in zip(fam.masks, occ.words):
+            c = assigned.get(m)
+            if c is None:
+                raise InvariantViolation("assignment domain differs from the family")
             if c & ~m or c == m:
                 raise InvariantViolation(f"assigned {c:#x} is not a proper subset of {m:#x}")
-            ci = compress_trace(c, positions)
+            ci = compress_trace(c, m)
             if word >> ci & 1:
                 raise InvariantViolation(f"assigned {c:#x} is a realized trace on {m:#x}")
             if first_unrealized(word, fam.k) != ci:
                 raise InvariantViolation(f"assigned {c:#x} is not the canonical choice on {m:#x}")
-        supersets = fam.shadow_count  # d-set -> members containing it
-        for t, members in self.fibers.items():
-            if t.bit_count() == self.d and (len(members) != 1 or supersets[t] != 1):
+            if ci.bit_count() == d and supersets[c] != 1:
                 raise InvariantViolation(
-                    f"size-d certificate {t:#x} must pin a unique superset member"
+                    f"size-d certificate {c:#x} must pin a unique superset member"
                 )
-            if t.bit_count() == self.d - 1 and len(members) > 3:
+        for t, members in self.fibers.items():
+            if len(members) > 3 and t.bit_count() == d - 1:
                 raise InvariantViolation(f"fiber of {t:#x} has {len(members)} > 3 members")
 
 

@@ -149,16 +149,16 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     """
     fam = assign.family
     d = assign.d
-    keep = tuple(
-        m for m in fam.masks if assign.assigned[m].bit_count() >= d - 1 and m not in pc.paired
-    )
-    if len(keep) == len(fam):
+    if not pc.paired and min(assign.strata, default=d) >= d - 1:
         sub, occ = fam, assign.occupancy
     else:
+        keep = tuple(
+            m for m in fam.masks if assign.assigned[m].bit_count() >= d - 1 and m not in pc.paired
+        )
         sub = UniformFamily(fam.n, fam.k, keep)
         occ = occupancy_words(sub.masks, sub.k)
     cg = {}
-    for m, cert, word, pos in zip(sub.masks, occ.certificates, occ.words, occ.positions):
+    for m, cert, word in zip(sub.masks, occ.certificates, occ.words):
         size = None if cert is None else cert.bit_count()
         if size == d:
             cg[m] = cert
@@ -173,7 +173,7 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
             raise InvariantViolation(
                 f"member {m:#x} lost its size-{old.bit_count()} certificate in the survivors"
             )
-        if word >> compress_trace(old, pos) & 1:
+        if word >> compress_trace(old, m) & 1:
             raise InvariantViolation(
                 f"original certificate of {m:#x} is realized inside the survivors"
             )
@@ -312,9 +312,9 @@ def partition_family(
             classes[m] = H12
     f3 = tuple(classes)
 
-    if set(f1) | set(f2) | set(f3) != set(fam.masks) or len(f1) + len(f2) + len(f3) != len(
-        fam.masks
-    ):
+    # three ascending runs, which sorted merges: equal to the family's
+    # strictly ascending members exactly when they split it without overlap
+    if sorted(f1 + f2 + list(f3)) != list(fam.masks):
         raise InvariantViolation("partition is not exact")
 
     # the (d-1)-subsets of V, then the d-subsets of V in F3's shadow: F3 is G
@@ -502,36 +502,27 @@ def build_injection_g(f3: tuple, fmap: dict) -> dict:
     Unit-image members keep their image; the half-half members are matched to
     the pool of indices their supports touch, in canonical order on both
     sides. Column sums <= 2 make the pool big enough and keep it disjoint
-    from the unit images.
+    from the unit images. f3 may come in any order; the map is built in
+    ascending member order, and every member of f3 needs its own index.
     """
-    unit_members = []
-    split_members = []
-    for m in f3:
-        if len(fmap[m]) == 1:
-            unit_members.append(m)
-        else:
-            split_members.append(m)
-    u1 = {fmap[m][0][0] for m in unit_members}
-    if len(u1) != len(unit_members):
+    f3 = sorted(f3)  # linear on the pipeline's ascending F3
+    units = [fmap[m][0][0] for m in f3 if len(fmap[m]) == 1]
+    u1 = set(units)
+    if len(u1) != len(units):
         raise InvariantViolation("two unit-image members share an index")
-    pool_usage = {}
-    for m in split_members:
-        for pos, _ in fmap[m]:
-            pool_usage[pos] = pool_usage.get(pos, 0) + 1
-    u2 = sorted(pool_usage)
-    if u1 & set(u2):
+    pool_usage = Counter(pos for m in f3 if len(fmap[m]) != 1 for pos, _ in fmap[m])
+    if not u1.isdisjoint(pool_usage):
         raise InvariantViolation("unit images collide with the half-half index pool")
     for pos, used in pool_usage.items():
         if used > 2:
             raise InvariantViolation(f"index {pos} supports {used} > 2 half-half members")
-    if len(split_members) > len(u2):
+    if len(f3) - len(units) > len(pool_usage):
         raise InvariantViolation("half-half members outnumber their index pool")
-    gmap = {m: fmap[m][0][0] for m in unit_members}
-    for m, pos in zip(sorted(split_members), u2):
-        gmap[m] = pos
-    if len(set(gmap.values())) != len(gmap):
+    pool = iter(sorted(pool_usage))
+    gmap = {m: fmap[m][0][0] if len(fmap[m]) == 1 else next(pool) for m in f3}
+    if len(set(gmap.values())) != len(f3):
         raise InvariantViolation("injection has a collision")
-    return dict(sorted(gmap.items()))
+    return gmap
 
 
 def audit_bound(report: PartitionReport) -> BoundAudit:

@@ -162,7 +162,7 @@ def _tables(n: int, d: int):
     k = d + 1
     cands = tuple(k_subset_masks(n, k))
     # index_on[h][t]: compressed index of trace t on cands[h]
-    index_on = [{t: compress_trace(t, positions_of(c)) for t in submasks(c)} for c in cands]
+    index_on = [{t: compress_trace(t, c) for t in submasks(c)} for c in cands]
     nbytes = ((len(cands) << k) + 7) >> 3
     onto, seen = [], []
     for ci, on_i in zip(cands, index_on):

@@ -9,10 +9,12 @@ preference(k) is the canonical order of the proper traces, largest first and
 the least compressed index first within a size; a member's certificate is the
 first of them it leaves unrealized. occupancy_words is the one certificate
 kernel for certificate assignment and the pipeline: one batch pass (numpy
-while a word fits 64 bits, so for k <= 6) gives every member its bit
-positions, its occupancy word and that certificate. Above that width the same
-result comes from plain Python, which is also the reference the tests hold
-the numpy pass to.
+while a word fits 64 bits, so for k <= 6) gives every member its occupancy
+word and that certificate. Above that width the same result comes from plain
+Python, which is also the reference the tests hold the numpy pass to.
+compress_trace reads a trace's compressed index from the member mask alone:
+each trace element sets the index bit of its rank among the member's
+elements.
 
 TraceTracker, the generator's incremental form, is plain Python over the
 candidate table of (n, k): every k-subset of [n] with its position, and per
@@ -30,9 +32,11 @@ import numpy as np
 from .bitwords import k_subset_masks, positions_of
 from .errors import InvariantViolation
 
-# the batch numpy path packs occupancy into one unsigned word, uint32 up to
-# k = 5 and uint64 at k = 6, so it needs 2^k <= 64 bits
+# the batch numpy path packs occupancy into one unsigned word of 2^k bits,
+# the narrowest that holds it (uint8 up to k = 3, uint64 at k = 6), so it
+# needs 2^k <= 64 bits
 _NUMPY_MAX_K = 6
+_WORD_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
 _BIT_INDEX = np.arange(63, dtype=np.int64)
 # TraceTracker keeps its members as bitsets from this many candidate k-sets
 # C(n, k) up, and walks a set of traces per member below it. Measured
@@ -89,31 +93,36 @@ def expand_index(c: int, positions) -> int:
     return m
 
 
-def compress_trace(trace_mask: int, positions) -> int:
+def compress_trace(trace_mask: int, mask: int) -> int:
+    """Compressed index of a trace on the member `mask` (trace_mask a submask
+    of it): each trace bit sets the index bit of its rank among mask's bits."""
     c = 0
-    for t, p in enumerate(positions):
-        if trace_mask >> p & 1:
-            c |= 1 << t
+    while trace_mask:
+        low = trace_mask & -trace_mask
+        c |= 1 << (mask & (low - 1)).bit_count()
+        trace_mask ^= low
     return c
 
 
 class Occupancy(NamedTuple):
     """occupancy_words' result: one entry per member, in input order.
 
-    certificates holds each member's canonical maximum certificate as a mask
-    (the least unrealized proper trace of the largest size), or None for a
-    shattered member, which has no certificate.
+    words holds each member's occupancy word: bit c is set when some member's
+    trace on it, its own full trace included, has compressed index c
+    (compress_trace(other & mask, mask)). certificates holds each member's
+    canonical maximum certificate as a mask (the least unrealized proper trace
+    of the largest size), or None for a shattered member, which has no
+    certificate.
     """
 
-    positions: list  # positions_of(mask) per member
-    words: list  # occupancy word per member, self-trace included
+    words: list
     certificates: list
 
 
 def occupancy_words(masks, k: int) -> Occupancy:
-    """Positions, occupancy word and canonical certificate of every member."""
+    """Occupancy word and canonical certificate of every member."""
     if len(masks) == 0:
-        return Occupancy([], [], [])
+        return Occupancy([], [])
     if 1 <= k <= _NUMPY_MAX_K:
         return _occupancy_numpy(masks, k)
     return _occupancy_python(masks, k)
@@ -121,7 +130,7 @@ def occupancy_words(masks, k: int) -> Occupancy:
 
 def _occupancy_numpy(masks, k: int) -> Occupancy:
     m = len(masks)
-    word_type = np.uint32 if k <= 5 else np.uint64
+    word_type = _WORD_TYPES[k]
     arr = np.array(masks, dtype=np.int64)
     bits = (arr[:, None] >> _BIT_INDEX[: max(masks).bit_length()]).astype(np.uint8)
     bits &= 1
@@ -135,7 +144,7 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     for t in range(1, k):
         has <<= 1
         comp |= has[pos[t]]
-    word = comp.astype(word_type)
+    word = comp.astype(word_type, copy=False)
     np.left_shift(word_type(1), word, out=word)
     occ = np.bitwise_or.reduce(word, axis=1)
     # each member's first clear bit in preference order. Every shift stays in
@@ -150,20 +159,19 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     full = (1 << (1 << k)) - 1  # a shattered member's word: every bit set
     if full in words:
         certs = [None if w == full else c for c, w in zip(certs, words)]
-    return Occupancy(list(map(tuple, pos.T.tolist())), words, certs)
+    return Occupancy(words, certs)
 
 
 def _occupancy_python(masks, k: int) -> Occupancy:
-    positions = [positions_of(m) for m in masks]
     words, certs = [], []
-    for mask, pos in zip(masks, positions):
+    for mask in masks:
         occ = 0
         for other in masks:
-            occ |= 1 << compress_trace(other & mask, pos)
+            occ |= 1 << compress_trace(other & mask, mask)
         best = first_unrealized(occ, k)
         words.append(occ)
-        certs.append(None if best is None else expand_index(best, pos))
-    return Occupancy(positions, words, certs)
+        certs.append(None if best is None else expand_index(best, positions_of(mask)))
+    return Occupancy(words, certs)
 
 
 class CandidateTable(NamedTuple):

@@ -52,6 +52,16 @@ def oracle_certificates(F, member_lists):
     return out
 
 
+def oracle_compress(trace_mask, positions):
+    """Compressed index of a trace on a member by the positional loop: bit t of
+    the index is the trace's bit at the member's t-th lowest bit position."""
+    c = 0
+    for t, p in enumerate(positions):
+        if trace_mask >> p & 1:
+            c |= 1 << t
+    return c
+
+
 def oracle_shadow_count(member_lists):
     """(k-1)-subset, as a sorted element tuple -> number of members containing it."""
     counts = {}

@@ -54,17 +54,25 @@ def test_tracer_counts_every_candidate_of_both_tracker_representations(seed):
     "seed, passes",
     [
         (FuzzSeed(0, 20, 2), 1),
+        (FuzzSeed(1_000_000, 20, 2), 1),
         (FuzzSeed(2, 8, 2), 2),
         (FuzzSeed(700001, 8, 3), 2),
         (FuzzSeed(13, 8, 2), 2),
     ],
-    ids=["nothing-dropped", "low-stratum-dropped", "low-strata-dropped", "pairs-dropped"],
+    ids=[
+        "nothing-dropped",
+        "check-wide-nothing-dropped",
+        "low-stratum-dropped",
+        "low-strata-dropped",
+        "pairs-dropped",
+    ],
 )
 def test_check_family_runs_one_assignment_and_a_second_occupancy_pass_only_on_drops(
     seed, passes
 ):
     """One occupancy pass for F inside build_assignment. The survivor family G
-    is F itself when nothing is dropped (the (20,2) family); it takes a pass
+    is F itself when nothing is dropped (the (20,2) families, the second the
+    first family of the check_wide benchmark workload); it takes a pass
     of its own only when pairing or the strata below d-1 drop members: the
     (8,2) seed-2 family drops 1 of 21 members and the (8,3) family 25 of 39 to
     the low strata, and the (8,2) seed-13 family also pairs away 2 members.

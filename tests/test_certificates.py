@@ -19,6 +19,7 @@ from vcx.certificates import (
 from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
 from vcx.errors import InvariantViolation, MemberShattered
 from vcx.families import UniformFamily
+from vcx.traces import Occupancy
 
 FOUR_FAM = UniformFamily.from_element_lists(
     6, 3, [[3, 4, 5], [1, 3, 4], [2, 3, 5], [2, 4, 5]]
@@ -114,6 +115,43 @@ def test_assignment_validate_catches_non_canonical_choice():
             swapped += 1
             break
     assert swapped
+
+
+def test_validate_refuses_a_size_d_certificate_with_two_supersets():
+    """Words read from {1,2,3} alone leave {1,2} clear on it, so {1,2} passes
+    as its canonical certificate, but the family also holds {1,2,4}."""
+    fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
+    alone = build_assignment(UniformFamily.from_masks(4, 3, [w(1, 2, 3)]), 2)
+    real = build_assignment(fam, 2)
+    words = [alone.occupancy.words[0], real.occupancy.words[1]]
+    assigned = {w(1, 2, 3): w(1, 2), w(1, 2, 4): real.assigned[w(1, 2, 4)]}
+    custom = CertificateAssignment(fam, 2, assigned, Occupancy(words, list(assigned.values())))
+    with pytest.raises(InvariantViolation, match="pin a unique superset member"):
+        custom.validate()
+
+
+def test_validate_refuses_a_size_d_minus_1_fiber_of_four():
+    """Four members through 1 whose words leave only {1} clear below the
+    size-2 traces: each takes {1}, a fiber of 4."""
+    fam = UniformFamily.from_element_lists(9, 3, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [1, 8, 9]])
+    word = 0xFF & ~(1 << 0b001)  # every trace but compressed index 1, the lowest element
+    assigned = {m: w(1) for m in fam}
+    custom = CertificateAssignment(fam, 2, assigned, Occupancy([word] * 4, [w(1)] * 4))
+    with pytest.raises(InvariantViolation, match="has 4 > 3 members"):
+        custom.validate()
+
+
+@pytest.mark.parametrize("replace", [True, False])
+def test_validate_refuses_a_foreign_member(replace):
+    """One key outside the family, in place of a member (same size) or beside
+    them (one more)."""
+    assign = build_assignment(star_family(5, 2), 2)
+    assigned = dict(assign.assigned)
+    first = next(iter(assigned))
+    assigned[w(2, 3, 4)] = assigned.pop(first) if replace else assigned[first]
+    custom = CertificateAssignment(assign.family, 2, assigned, assign.occupancy)
+    with pytest.raises(InvariantViolation, match="domain differs"):
+        custom.validate()
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,9 +6,10 @@ from math import comb
 import pytest
 
 from oracles import mask_from, oracle_certificates, oracle_shadow_count
+from vcx import pipeline
 from vcx.bitwords import elements_of, mask_of
-from vcx.certificates import build_assignment
-from vcx.constructions import FuzzSeed, random_maximal_vc_family, star_family
+from vcx.certificates import CertificateAssignment, build_assignment
+from vcx.constructions import FuzzSeed, SplitMix64, random_maximal_vc_family, star_family
 from vcx.errors import InvariantViolation, UsageError
 from vcx.families import UniformFamily
 from vcx.fuzzing import check_family
@@ -143,6 +144,59 @@ def test_injection_rejects_unit_images_that_share_an_index():
     fmap[by[(1, 3, 4)]] = fmap[by[(1, 2, 3)]]
     with pytest.raises(InvariantViolation, match="share an index"):
         build_injection_g(report.f3, fmap)
+
+
+@pytest.mark.parametrize("tamper", ["drop a survivor", "keep a paired member"])
+def test_partition_refuses_an_inexact_split(monkeypatch, tamper):
+    """A survivor family G that misses a member leaves it in no part; one that
+    keeps a paired member puts it in F1 and in F2 or F3 as well."""
+    build_g = pipeline.build_g_and_reassign
+
+    def tampered(assign, pc):
+        g = build_g(assign, pc)
+        masks = set(g.family.masks)
+        if tamper == "drop a survivor":
+            masks.discard(g.family.masks[0])
+        else:
+            masks.add(min(pc.paired))
+        sub = UniformFamily.from_masks(g.family.n, g.family.k, masks)
+        cg = {m: g.assigned.get(m, assign.assigned[m]) for m in sub.masks}
+        return CertificateAssignment(sub, g.d, cg, g.occupancy)
+
+    monkeypatch.setattr(pipeline, "build_g_and_reassign", tampered)
+    with pytest.raises(InvariantViolation, match="partition is not exact"):
+        partition_family(random_maximal_vc_family(FuzzSeed(13, 8, 2)), 2)  # one pair
+
+
+# synthetic F3 members 1, 2, 4 and images on index positions 0..3
+@pytest.mark.parametrize(
+    "f3, fmap, message",
+    [
+        ((1, 2), {1: ((0, 2),), 2: ((0, 1), (1, 1))}, "collide with the half-half index pool"),
+        (
+            (1, 2, 4),
+            {1: ((0, 1), (1, 1)), 2: ((0, 1), (2, 1)), 4: ((0, 1), (3, 1))},
+            "index 0 supports 3 > 2",
+        ),
+        ((1,), {1: ()}, "outnumber"),
+        # F3 lists member 1 twice: both pool indices go to it, one image is left
+        ((1, 1), {1: ((0, 1), (1, 1))}, "collision"),
+    ],
+)
+def test_injection_rejects_tampered_maps(f3, fmap, message):
+    with pytest.raises(InvariantViolation, match=message):
+        build_injection_g(f3, fmap)
+
+
+def test_injection_is_the_same_from_a_shuffled_f3():
+    report = run_pipeline(random_maximal_vc_family(FuzzSeed(2, 8, 2)), 2)
+    assert sum(len(v) == 2 for v in report.fmap.values()) == 9  # half-half members
+    shuffled = list(report.f3)
+    SplitMix64(5).shuffle(shuffled)
+    assert shuffled != list(report.f3)
+    gmap = build_injection_g(tuple(shuffled), report.fmap)
+    assert list(gmap.items()) == list(report.gmap.items())
+    assert list(gmap) == sorted(report.f3)
 
 
 def test_build_f_rejects_an_image_outside_the_index_family():

@@ -20,7 +20,7 @@ from vcx.traces import (
     size_layer_mask,
 )
 
-from oracles import mask_from, oracle_certificates, oracle_vc_le
+from oracles import mask_from, oracle_certificates, oracle_compress, oracle_vc_le
 
 
 def test_trace_index_masks():
@@ -43,7 +43,27 @@ def test_compress_expand_round_trip():
     for c in range(1 << 4):
         t = expand_index(c, pos)
         assert t & ~member == 0
-        assert compress_trace(t, pos) == c
+        assert compress_trace(t, member) == c
+
+
+def test_compress_trace_matches_the_positional_oracle():
+    """The rank form agrees with the positional loop on every submask of
+    random members, k from 0 to 18, n up to 63 with bit 62 held at the
+    widest k."""
+    rng = SplitMix64(11)
+    checked = 0
+    for k in [*range(13), 15, 18]:
+        n = 63 if k >= 15 else k + rng.below(64 - k)
+        member = _random_member(rng, n, k, must=62 if n == 63 else None)
+        positions = [p for p in range(n) if member >> p & 1]
+        t = member
+        while True:
+            assert compress_trace(t, member) == oracle_compress(t, positions), (member, t)
+            checked += 1
+            if not t:
+                break
+            t = (t - 1) & member
+    assert checked == sum(1 << k for k in [*range(13), 15, 18])
 
 
 def _random_member(rng, n, k, must=None):
@@ -82,13 +102,12 @@ def _agreement_cases():
 
 
 def test_occupancy_paths_agree():
-    """The numpy pass and the plain-Python reference agree on positions,
-    words and the canonical certificate for k = 1..6."""
+    """The numpy pass and the plain-Python reference agree on words and the
+    canonical certificate for k = 1..6."""
     shattered = 0
     for k, masks in _agreement_cases():
         fast = _occupancy_numpy(masks, k)
         assert fast == _occupancy_python(masks, k), (k, masks)
-        assert fast.positions == [positions_of(m) for m in masks]
         shattered += fast.certificates.count(None)
     assert shattered >= 6  # each k's shattered family has one shattered member
 
@@ -125,10 +144,9 @@ def test_occupancy_semantics_by_hand():
     # member 123 has bits for {1,2} (from 124) and {1,2,3} (itself).
     masks = [0b0111, 0b1011]
     occ = occupancy_words(masks, 3).words
-    pos = positions_of(0b0111)
     realized = {i for i in range(8) if occ[0] >> i & 1}
-    want = {compress_trace(0b0011, pos), compress_trace(0b0111, pos)}
-    assert realized == want
+    want = {compress_trace(0b0011, 0b0111), compress_trace(0b0111, 0b0111)}
+    assert realized == want == {0b011, 0b111}
 
 
 REPRESENTATIONS = ["set-walk", "bitsets"]
