@@ -24,7 +24,6 @@ keeps and its two member stores.
 """
 
 from functools import lru_cache
-from operator import xor
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +38,13 @@ _NUMPY_MAX_K = 6
 _WORD_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
 _BIT_INDEX = np.arange(63, dtype=np.int64)
 # TraceTracker keeps its members as bitsets from this many candidate k-sets
-# C(n, k) up, and walks a set of traces per member below it. Measured
-# crossover (2-vCPU Xeon, CPython 3.11): (16,2), 560 candidates, generates
-# faster on the walk, (17,2), 680, on bitsets; (18,3), 3,060, in half the time
+# C(n, k) up, and walks a set of traces per member below it. Generation time
+# on bitsets over the walk with the pairwise split, interleaved minima over
+# seeds 0..15 (2-vCPU Xeon, CPython 3.11), (n, d) with C(n, d+1): (27,1) 351
+# 1.20; (14,2) 364 1.07-1.09; (31,1) 465 1.05; (15,2) 455 0.96-1.08; (11,4)
+# 462 1.26-1.34; (12,3) 495 0.90-1.02; (16,2) 560 0.90-0.91; (34,1) 561 0.99;
+# (17,2) 680 0.86; (13,3) 715 0.77. Below 600 the bitsets win only at some
+# k and by less than the run-to-run spread, and lose by a quarter at (11,4)
 BITSET_MIN_CANDIDATES = 600
 
 
@@ -174,6 +177,35 @@ def _occupancy_python(masks, k: int) -> Occupancy:
     return Occupancy(words, certs)
 
 
+def split_by_trace(whole: int, has, G: int) -> list:
+    """Split the member bitset `whole` by trace on the k-set G: part c holds
+    the members whose trace on G has compressed index c, bit j of c standing
+    for G's j-th lowest element, and has[e] holds the members that contain
+    element bit e. G's elements go two at a time: a pair (x, y) of holder
+    bitsets has four atoms, ~(x|y), x^xy, y^xy and xy with xy = x & y. The
+    first pair's atoms are the first four parts, each later pair crosses them
+    with one AND per new part, and an odd last element halves every part:
+    5 * floor(k/2) scalar operations, and list ANDs under 4/3 * 2^k at even k
+    and 5/3 * 2^k at odd k."""
+    parts, rest = [whole], G
+    while rest & (rest - 1):
+        low = rest & -rest
+        rest ^= low
+        x = has[low]
+        low = rest & -rest
+        rest ^= low
+        y = has[low]
+        xy = x & y
+        if len(parts) == 1:
+            parts = [whole & ~(x | y), x ^ xy, y ^ xy, xy]
+        else:
+            parts = [p & atom for atom in (~(x | y), x ^ xy, y ^ xy, xy) for p in parts]
+    if rest:
+        z = has[rest]
+        parts = [p & atom for atom in (~z, z) for p in parts]
+    return parts
+
+
 class CandidateTable(NamedTuple):
     """candidate_table's result: the k-subsets of [n] a generator offers."""
 
@@ -233,11 +265,12 @@ class TraceTracker:
     - member bitsets (at or above it): member i is bit i of Python ints.
       has[x] holds the members that contain element x and miss[t] those that
       still lack proper trace t; each member keeps its count of missing
-      traces. Splitting the member bitset on G's k elements yields, for every
-      t within G, the members whose trace on G is t, in 2^(k+1) - 2 AND/XOR
-      operations whatever the family size, and a commit touches only the
-      members that gain a trace. The constant overhead loses on small
-      families, which the set walk serves.
+      traces. split_by_trace splits the member bitset on G's k elements, two
+      at a time, into the members whose trace on G is t for every t within
+      G: 5 * floor(k/2) scalar operations and under 5/3 * 2^k list ANDs
+      whatever the family size. A commit touches only the members that gain
+      a trace. The constant overhead loses on small families, which the set
+      walk serves.
 
     Both make the same decisions, so the family grown is the same.
     """
@@ -317,16 +350,9 @@ class TraceTracker:
     def _add_bits(self, G: int) -> bool:
         """_add_walk on member bitsets."""
         has = self._has
-        # parts[c]: the members whose trace on G has compressed index c, bit j
-        # of c standing for G's j-th lowest element; the last part, G itself, is
-        # empty and dropped
-        parts = [(1 << len(self._masks)) - 1]
-        rest = G
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            hit = list(map(has[low].__and__, parts))
-            parts = list(map(xor, parts, hit)) + hit
+        # parts[c]: the members whose trace on G has compressed index c; the
+        # last part, G itself, is empty and dropped
+        parts = split_by_trace((1 << len(self._masks)) - 1, has, G)
         parts.pop()
         if all(parts):
             return False
@@ -334,12 +360,23 @@ class TraceTracker:
         i = len(masks)
         bit = 1 << i
         lacking, critical = 0, []  # how many proper traces G lacks; critical members
-        traces, rest = [0], G  # traces[c]: the trace with compressed index c
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            has[low] |= bit
-            traces += [t | low for t in traces]
+        # traces[c]: the trace with compressed index c, built pairwise as the
+        # parts are
+        traces, rest = [0], G
+        while rest & (rest - 1):
+            a = rest & -rest
+            rest ^= a
+            b = rest & -rest
+            rest ^= b
+            has[a] |= bit
+            has[b] |= bit
+            if len(traces) == 1:
+                traces = [0, a, b, a | b]
+            else:
+                traces = [t | u for u in (0, a, b, a | b) for t in traces]
+        if rest:
+            has[rest] |= bit
+            traces += [t | rest for t in traces]
         for t, part in zip(traces, parts):
             if not part:
                 lacking += 1

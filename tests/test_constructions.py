@@ -134,7 +134,9 @@ def test_random_maximal_size_stays_below_complete_bound():
 
 # sha256 prefix of the sorted member masks over seeds 0..4 of each acceptance
 # cell, plus the five check_wide cells at seed 0, where TraceTracker keeps its
-# members as bitsets; pinned so generator rewrites stay exact
+# members as bitsets; pinned so generator rewrites stay exact. (14,4) and
+# (12,5), over seeds 0..4, are bitset cells whose trace split ends on an odd
+# element (k = 5) and crosses three element pairs (k = 6)
 PINNED_DIGESTS = {
     (8, 2): "210708341c76a6d4",
     (9, 2): "46013b4715f632db",
@@ -155,6 +157,8 @@ PINNED_DIGESTS = {
     (28, 2): "ea36fffbef130861",
     (16, 3): "9419781fa677def8",
     (18, 3): "eba44eaf3456a100",
+    (14, 4): "f193c005a71d3ba1",
+    (12, 5): "f7e9cc3cb0995346",
 }
 
 

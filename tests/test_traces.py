@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcx import traces
-from vcx.bitwords import elements_of, k_subset_masks, positions_of
+from vcx.bitwords import elements_of, k_subset_masks, positions_of, submasks
 from vcx.constructions import SplitMix64
 from vcx.errors import InvariantViolation
 from vcx.traces import (
@@ -18,6 +18,7 @@ from vcx.traces import (
     occupancy_words,
     proper_trace_mask,
     size_layer_mask,
+    split_by_trace,
 )
 
 from oracles import mask_from, oracle_certificates, oracle_compress, oracle_vc_le
@@ -298,6 +299,27 @@ def test_tracker_dead_set_matches_occupancy():
             for G in k_subset_masks(n, k):
                 if G not in members:
                     assert _is_dead(tracker, G) == kills(members, G), (name, n, k, G)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_split_by_trace_matches_the_per_member_oracle(k):
+    """Part c holds exactly the members whose trace on G compresses to c, for
+    even and odd k, k < 2 included. Every subset of G is some member's trace,
+    so no part is empty and a part in the wrong place shows; random members
+    and elements outside G fill in the rest."""
+    rng = SplitMix64(300 + k)
+    for _ in range(6):
+        n = k + 2 + rng.below(5)
+        G = _random_member(rng, n, k)
+        outside = ((1 << n) - 1) ^ G
+        members = [t | rng.below(1 << n) & outside for t in submasks(G)]
+        members += [rng.below(1 << n) for _ in range(20)]
+        rng.shuffle(members)
+        has = {1 << x: sum(1 << i for i, m in enumerate(members) if m >> x & 1) for x in range(n)}
+        want = [0] * (1 << k)
+        for i, m in enumerate(members):
+            want[compress_trace(m & G, G)] |= 1 << i
+        assert split_by_trace((1 << len(members)) - 1, has, G) == want, (k, n, G)
 
 
 @pytest.mark.parametrize("n, k", [(7, 1), (6, 6), (9, 3), (63, 2)])
