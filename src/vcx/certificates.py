@@ -13,19 +13,12 @@ from math import factorial
 
 from .bitwords import bit, elements_of, mask_of, set_text
 from .errors import InvariantViolation, MemberShattered, UsageError
-from .families import MAX_GEN_CANDIDATES, UniformFamily
+from .families import MAX_CHECK_WORK, MAX_GEN_CANDIDATES, UniformFamily
 from .traces import Occupancy, compress_trace, first_unrealized, occupancy_words
 
 TRIANGLE = "TRIANGLE"
 CHERRY = "CHERRY"
 SINGLETON = "SINGLETON"
-
-# |F|^2 bound for build_assignment: the numpy occupancy path holds |F| x |F|
-# temporaries; at the limit (4,096 members) that is 16 MiB of uint8 compressed
-# traces, which hold the words in place up to k = 3, plus words of 32 MiB
-# (uint16) at k = 4 up to 128 MiB (uint64) at k = 6
-MAX_MEMBER_PAIRS = 1 << 24
-
 
 @dataclass
 class CertificateAssignment:
@@ -91,11 +84,16 @@ class CertificateAssignment:
                 raise InvariantViolation(f"fiber of {t:#x} has {len(members)} > 3 members")
 
 
-def check_member_pairs(size: int):
-    """Refuse a family of `size` members when occupancy_words, which
-    compares every pair of members, would exceed MAX_MEMBER_PAIRS."""
-    if size**2 > MAX_MEMBER_PAIRS:
-        raise UsageError(f"{size}^2 member pairs exceed the limit of {MAX_MEMBER_PAIRS}")
+def check_occupancy_work(size: int, k: int):
+    """Refuse a k-uniform family of `size` members when occupancy_words'
+    split pass, 2^k parts of ceil(size / 64) words for each member, would
+    exceed MAX_CHECK_WORK word operations."""
+    words = -(-size // 64)
+    if size * words << k > MAX_CHECK_WORK:
+        raise UsageError(
+            f"{size} members times 2^{k} traces times {words} words exceed the limit of "
+            f"{MAX_CHECK_WORK}"
+        )
 
 
 def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
@@ -109,7 +107,7 @@ def build_assignment(fam: UniformFamily, d: int) -> CertificateAssignment:
         raise UsageError(f"family is {fam.k}-uniform, expected {d + 1}-uniform for d={d}")
     if 1 << fam.k > MAX_GEN_CANDIDATES:  # occupancy words hold 2^(d+1) traces each
         raise UsageError(f"2^{fam.k} traces per member exceed the limit of {MAX_GEN_CANDIDATES}")
-    check_member_pairs(len(fam))
+    check_occupancy_work(len(fam), fam.k)
     masks = fam.masks
     occ = occupancy_words(masks, fam.k)
     if None in occ.certificates:

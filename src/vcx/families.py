@@ -30,6 +30,11 @@ MAX_GEN_CANDIDATES = 1 << 18
 # one per trace: the (19,17) family needs about 2^22.2, and (18,11), about
 # 2^26.2, would run for minutes
 MAX_GEN_WORK = 1 << 23
+# most work a certificate check may do in occupancy_words' split pass, |F|
+# members times the 2^k parts of each, ceil(|F| / 64) words per part: AK(63,3)
+# needs about 2^28.4 and splits in 1.2-1.6 s, and the complete (16,9) family,
+# about 2^29.9, in 4.9-7.1 s (2-vCPU VM, CPython 3.11)
+MAX_CHECK_WORK = 1 << 29
 # most worker processes a fuzz campaign or search starts: a process pool forks
 # all of its workers at once, so a larger request is refused before any starts
 MAX_THREADS = 64

@@ -13,7 +13,12 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
-from .certificates import build_assignment, check_member_pairs, classify_fiber, fiber_size_histogram
+from .certificates import (
+    build_assignment,
+    check_occupancy_work,
+    classify_fiber,
+    fiber_size_histogram,
+)
 from .constructions import FuzzSeed, check_random_generation, random_maximal_vc_family
 from .errors import InvariantViolation, UsageError, VcxError
 from .families import UniformFamily, check_threads
@@ -166,8 +171,8 @@ def fuzz_campaign(
     raised; callers decide whether a nonempty failure list is fatal. A d the
     pipeline cannot check is refused before the first seed, so it is never
     filed as a failure of every family, and so is an (n, d) whose family is
-    known to exceed MAX_MEMBER_PAIRS before it is generated; threads above
-    MAX_THREADS is refused before any worker starts.
+    known before it is generated to need more than MAX_CHECK_WORK to check;
+    threads above MAX_THREADS is refused before any worker starts.
     """
     if d < 1:
         raise UsageError(f"fuzz needs d >= 1, got d={d}")
@@ -177,7 +182,7 @@ def fuzz_campaign(
         # every candidate joins the family; the generator's own refusals
         # come first
         check_random_generation(n, d)
-        check_member_pairs(comb(n, d + 1))
+        check_occupancy_work(comb(n, d + 1), d + 1)
     t0 = time.monotonic()
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)

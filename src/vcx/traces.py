@@ -8,13 +8,14 @@ F has a certificate iff some proper-subset bit is still clear.
 preference(k) is the canonical order of the proper traces, largest first and
 the least compressed index first within a size; a member's certificate is the
 first of them it leaves unrealized. occupancy_words is the one certificate
-kernel for certificate assignment and the pipeline: one batch pass (numpy
-while a word fits 64 bits, so for k <= 6) gives every member its occupancy
-word and that certificate. Above that width the same result comes from plain
-Python, which is also the reference the tests hold the numpy pass to.
-compress_trace reads a trace's compressed index from the member mask alone:
-each trace element sets the index bit of its rank among the member's
-elements.
+kernel for certificate assignment and the pipeline: one batch pass gives
+every member its occupancy word and that certificate. The pass is numpy
+while a word fits 64 bits (k <= 6) and the family's |F| x |F| temporaries
+stay small; every other family takes the split pass, which splits the member
+bitset on each member with split_by_trace, the generator's kernel, and reads
+the word off the nonzero parts. compress_trace reads a trace's compressed
+index from the member mask alone: each trace element sets the index bit of
+its rank among the member's elements.
 
 TraceTracker, the generator's incremental form, is plain Python over the
 candidate table of (n, k): every k-subset of [n] with its position, and per
@@ -35,6 +36,12 @@ from .errors import InvariantViolation
 # the narrowest that holds it (uint8 up to k = 3, uint64 at k = 6), so it
 # needs 2^k <= 64 bits
 _NUMPY_MAX_K = 6
+# the numpy path holds |F| x |F| temporaries; at this many pairs (4,096
+# members) that is 16 MiB of uint8 compressed traces, which hold the words in
+# place up to k = 3, plus words of 32 MiB (uint16) at k = 4 up to 128 MiB
+# (uint64) at k = 6. Larger families take the split pass, which holds |F|
+# bits per part
+_NUMPY_MAX_PAIRS = 1 << 24
 _WORD_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
 _BIT_INDEX = np.arange(63, dtype=np.int64)
 # TraceTracker keeps its members as bitsets from this many candidate k-sets
@@ -126,9 +133,9 @@ def occupancy_words(masks, k: int) -> Occupancy:
     """Occupancy word and canonical certificate of every member."""
     if len(masks) == 0:
         return Occupancy([], [])
-    if 1 <= k <= _NUMPY_MAX_K:
+    if 1 <= k <= _NUMPY_MAX_K and len(masks) ** 2 <= _NUMPY_MAX_PAIRS:
         return _occupancy_numpy(masks, k)
-    return _occupancy_python(masks, k)
+    return _occupancy_split(masks, k)
 
 
 def _occupancy_numpy(masks, k: int) -> Occupancy:
@@ -165,16 +172,32 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     return Occupancy(words, certs)
 
 
-def _occupancy_python(masks, k: int) -> Occupancy:
+def _occupancy_split(masks, k: int) -> Occupancy:
+    """occupancy_words on member bitsets: the realized traces on a member are
+    the nonzero parts of split_by_trace on it, ceil(|F| / 64) words per part
+    and 2^k parts per member."""
+    n = max(masks).bit_length()
+    has = dict(zip((1 << x for x in range(n)), holder_bitsets(masks, n)))
+    whole = (1 << len(masks)) - 1
     words, certs = [], []
     for mask in masks:
         occ = 0
-        for other in masks:
-            occ |= 1 << compress_trace(other & mask, mask)
+        for c, part in enumerate(split_by_trace(whole, has, mask)):
+            if part:
+                occ |= 1 << c
         best = first_unrealized(occ, k)
         words.append(occ)
         certs.append(None if best is None else expand_index(best, positions_of(mask)))
     return Occupancy(words, certs)
+
+
+def holder_bitsets(masks, n: int) -> tuple:
+    """Per element x of [n], the positions of the masks that hold x, as bits."""
+    arr = np.array(masks, dtype=np.int64)
+    return tuple(
+        int.from_bytes(np.packbits((arr & (1 << x)) != 0, bitorder="little").tobytes(), "little")
+        for x in range(n)
+    )
 
 
 def split_by_trace(whole: int, has, G: int) -> list:
@@ -221,11 +244,7 @@ def candidate_table(n: int, k: int) -> CandidateTable:
     shuffles a copy of masks, and each TraceTracker reads positions and
     element bitsets from the same table."""
     masks = tuple(k_subset_masks(n, k))
-    arr = np.array(masks, dtype=np.int64)
-    holders = tuple(
-        int.from_bytes(np.packbits((arr & (1 << x)) != 0, bitorder="little").tobytes(), "little")
-        for x in range(n)
-    )
+    holders = holder_bitsets(masks, n)
     everything = (1 << len(masks)) - 1
     avoiders = tuple(everything ^ held for held in holders)
     return CandidateTable(masks, dict(zip(masks, range(len(masks)))), holders, avoiders)

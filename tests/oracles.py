@@ -62,6 +62,25 @@ def oracle_compress(trace_mask, positions):
     return c
 
 
+def oracle_occupancy(member_lists):
+    """(words, certificates), one entry per member in input order, by comparing
+    every pair of members. A member's word sets bit c when some member's trace
+    on it, its own included, has compressed index c; its certificate is the
+    least (as a bit word) of its largest certificates, or None when it has none."""
+    members = [frozenset(m) for m in member_lists]
+    words, certs = [], []
+    for F in members:
+        positions = [e - 1 for e in sorted(F)]
+        word = 0
+        for other in members:
+            word |= 1 << oracle_compress(mask_from(other & F), positions)
+        words.append(word)
+        found = oracle_certificates(F, member_lists)
+        top = max(map(len, found), default=None)
+        certs.append(None if top is None else min(mask_from(T) for T in found if len(T) == top))
+    return words, certs
+
+
 def oracle_shadow_count(member_lists):
     """(k-1)-subset, as a sorted element tuple -> number of members containing it."""
     counts = {}

@@ -2,7 +2,6 @@ import concurrent.futures
 import importlib
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -12,7 +11,6 @@ import pytest
 
 import vcx
 from vcx import cli, fuzzing
-from vcx.certificates import MAX_MEMBER_PAIRS
 from vcx.constructions import FuzzSeed, random_maximal_vc_family
 from vcx.errors import InvariantViolation
 from vcx.famfile import format_family, load_family
@@ -547,14 +545,25 @@ def test_wide_member_cost_guards_refuse_before_listing(tmp_path, cmd, k, d, word
     assert _refusal_seconds(argv) < 1.0
 
 
-def test_certify_refuses_families_over_the_member_pair_limit(tmp_path):
-    # one member more than the limit allows; its |F| x |F| occupancy is never built
-    size = math.isqrt(MAX_MEMBER_PAIRS) + 1
+def test_certify_checks_families_past_the_numpy_pair_cap(tmp_path):
+    # one member more than numpy's |F| x |F| pass takes: the split pass checks
+    # it and finds a shattered member
     fam = tmp_path / "big.fam"
-    members = itertools.islice(itertools.combinations(range(1, 32), 3), size)
+    members = itertools.islice(itertools.combinations(range(1, 32), 3), 4097)
     fam.write_text("31 3\n" + "".join(" ".join(map(str, m)) + "\n" for m in members))
-    argv = ["certify", "--input", str(fam), "--d", "2"]
-    assert_usage_error(run_cli(*argv, timeout=10), f"{size}^2 member pairs", "limit")
+    proc = run_cli("certify", "--input", str(fam), "--d", "2", timeout=30)
+    assert proc.returncode == 1
+    assert "is shattered" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_certify_refuses_families_over_the_check_work_limit(tmp_path):
+    # C(16,10) = 8008 members, each split into 2^10 parts of 126 words
+    fam = tmp_path / "complete.fam"
+    gen = run_cli("gen", "--kind", "complete", "--n", "16", "--d", "9", "--out", str(fam))
+    assert gen.returncode == 0, gen.stderr
+    argv = ["certify", "--input", str(fam), "--d", "9"]
+    proc = run_cli(*argv, timeout=10)
+    assert_usage_error(proc, "8008 members times 2^10 traces", "limit of 536870912")
     assert _refusal_seconds(argv) < 1.0
 
 

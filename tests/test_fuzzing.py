@@ -85,9 +85,9 @@ def _refuse_to_generate(fseed):
 
 def test_campaign_refuses_an_uncheckable_family_before_generating(monkeypatch):
     """Below n = 2(d+1) any two (d+1)-sets meet, so the family is all C(n, d+1)
-    candidates: at (16,9) that is 8008 members, too many pairs to check."""
+    candidates: at (16,9) that is 8008 members, too much work to check."""
     monkeypatch.setattr(fuzzing, "random_maximal_vc_family", _refuse_to_generate)
-    with pytest.raises(UsageError, match=r"8008\^2 member pairs exceed the limit of 16777216"):
+    with pytest.raises(UsageError, match=r"8008 members times 2\^10 traces .* limit of 536870912"):
         fuzz_campaign(16, 9, 1)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import oracle_vc_le
 from vcx.bitwords import elements_of
+from vcx.constructions import star_family
 from vcx.families import UniformFamily
 from vcx.fuzzing import check_family
 from vcx.search import lower_bound_witness
@@ -30,7 +31,7 @@ def ak_family(n: int, d: int) -> UniformFamily:
     return UniformFamily.from_element_lists(n, d + 1, members)
 
 
-CASES = [(8, 2, 1), (12, 2, 1), (20, 2, 1), (10, 3, 7), (14, 3, 11), (10, 4, 21)]
+CASES = [(8, 2, 1), (12, 2, 1), (20, 2, 1), (10, 3, 7), (14, 3, 11), (40, 3, 37), (10, 4, 21)]
 
 
 @pytest.mark.parametrize("n, d, slack", CASES, ids=[f"n{n}_d{d}" for n, d, _ in CASES])
@@ -41,6 +42,14 @@ def test_ak_family_size_vc_and_audit_slack(n, d, slack):
         lists = [list(elements_of(m)) for m in fam]
         assert oracle_vc_le(n, lists, d)
     assert check_family(fam, d).audit_slack == slack
+
+
+def test_star_family_at_the_paper_scale_has_audit_slack_0():
+    """star(40,3) has C(39,3) = 9139 members, past numpy's pair cap, so the
+    split pass serves its occupancy; the star meets the bound exactly."""
+    fam = star_family(40, 3)
+    assert len(fam) == comb(39, 3)
+    assert check_family(fam, 3).audit_slack == 0
 
 
 def test_ak_family_is_the_search_witness_at_8_2():

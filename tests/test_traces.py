@@ -11,7 +11,7 @@ from vcx.errors import InvariantViolation
 from vcx.traces import (
     TraceTracker,
     _occupancy_numpy,
-    _occupancy_python,
+    _occupancy_split,
     compress_trace,
     expand_index,
     full_trace_bit,
@@ -21,7 +21,13 @@ from vcx.traces import (
     split_by_trace,
 )
 
-from oracles import mask_from, oracle_certificates, oracle_compress, oracle_vc_le
+from oracles import (
+    mask_from,
+    oracle_certificates,
+    oracle_compress,
+    oracle_occupancy,
+    oracle_vc_le,
+)
 
 
 def test_trace_index_masks():
@@ -87,7 +93,7 @@ def _shattered_family(k):
 
 def _agreement_cases():
     rng = SplitMix64(7)
-    for k in range(1, 7):
+    for k in range(9):
         for _ in range(8):
             n = k + 1 + rng.below(10)
             pool = list(k_subset_masks(n, k))
@@ -103,14 +109,16 @@ def _agreement_cases():
 
 
 def test_occupancy_paths_agree():
-    """The numpy pass and the plain-Python reference agree on words and the
-    canonical certificate for k = 1..6."""
+    """The numpy pass (k = 1..6) and the split pass (k = 0..8) agree with the
+    pairwise oracle on words and the canonical certificate."""
     shattered = 0
     for k, masks in _agreement_cases():
-        fast = _occupancy_numpy(masks, k)
-        assert fast == _occupancy_python(masks, k), (k, masks)
-        shattered += fast.certificates.count(None)
-    assert shattered >= 6  # each k's shattered family has one shattered member
+        want = oracle_occupancy([elements_of(m) for m in masks])
+        assert _occupancy_split(masks, k) == want, (k, masks)
+        if 1 <= k <= 6:
+            assert _occupancy_numpy(masks, k) == want, (k, masks)
+        shattered += want[1].count(None)
+    assert shattered >= 9  # each k's shattered family has one shattered member
 
 
 def test_occupancy_certificates_match_the_oracle():
@@ -130,14 +138,22 @@ def test_occupancy_certificates_match_the_oracle():
 
 
 def test_occupancy_above_six_takes_the_python_path(monkeypatch):
+    """k = 7, and 4,097 members at k = 3, one past numpy's pair cap, both take
+    the split pass; the large family's words are held to the numpy pass run
+    directly."""
+
     def refuse(masks, k):
-        raise AssertionError("numpy path used for k > 6")
+        raise AssertionError("numpy path used")
 
     rng = SplitMix64(3)
-    masks = sorted({_random_member(rng, 12, 7) for _ in range(10)})
-    want = _occupancy_python(masks, 7)
+    wide = sorted({_random_member(rng, 12, 7) for _ in range(10)})
+    large = list(k_subset_masks(31, 3))
+    rng.shuffle(large)
+    large = sorted(large[:4097])
+    want = {7: oracle_occupancy([elements_of(m) for m in wide]), 3: _occupancy_numpy(large, 3)}
     monkeypatch.setattr(traces, "_occupancy_numpy", refuse)
-    assert occupancy_words(masks, 7) == want
+    assert occupancy_words(wide, 7) == want[7]
+    assert occupancy_words(large, 3) == want[3]
 
 
 def test_occupancy_semantics_by_hand():
