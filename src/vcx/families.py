@@ -30,10 +30,12 @@ MAX_GEN_CANDIDATES = 1 << 18
 # one per trace: the (19,17) family needs about 2^22.2, and (18,11), about
 # 2^26.2, would run for minutes
 MAX_GEN_WORK = 1 << 23
-# most work a certificate check may do in occupancy_words' split pass, |F|
-# members times the 2^k parts of each, ceil(|F| / 64) words per part: AK(63,3)
-# needs about 2^28.4 and splits in 1.2-1.6 s, and the complete (16,9) family,
-# about 2^29.9, in 4.9-7.1 s (2-vCPU VM, CPython 3.11)
+# most work a certificate check may do in occupancy_words' split pass: its
+# rows, the members whose d-subsets all lie in other members, times the 2^k
+# parts of each, ceil(|F| / 64) words per part. AK(63,3) has 1,948 such rows
+# of 37,879 members and needs about 2^24.1; the complete (16,9) family, whose
+# 8,008 members are all rows, needs about 2^29.9 and splits in 4.9-7.1 s
+# (2-vCPU VM, CPython 3.11)
 MAX_CHECK_WORK = 1 << 29
 # most worker processes a fuzz campaign or search starts: a process pool forks
 # all of its workers at once, so a larger request is refused before any starts
@@ -86,13 +88,18 @@ class UniformFamily:
         return cls.from_masks(n, k, map(mask_of, lists))
 
     @cached_property
+    def mask_array(self) -> np.ndarray:
+        """The members as an int64 array, in order: masks fit int64 (n <= 63)."""
+        return np.array(self.masks, dtype=np.int64)
+
+    @cached_property
     def shadow_count(self) -> Counter:
         """Shadow (k-1)-set mask -> number of members containing it (0 off the shadow).
 
-        Masks fit int64 (n <= 63), so numpy lists every member with one bit
-        dropped, a row per dropped bit, and Counter counts the list in C.
+        numpy lists every member with one bit dropped, a row per dropped bit,
+        and Counter counts the list in C.
         """
-        masks = np.array(self.masks, dtype=np.int64)
+        masks = self.mask_array
         rest = masks.copy()
         shadows = np.empty((self.k, len(masks)), dtype=np.int64)
         for row in shadows:

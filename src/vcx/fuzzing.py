@@ -179,10 +179,12 @@ def fuzz_campaign(
     check_threads(threads)
     if n < 2 * (d + 1):
         # any two (d+1)-sets meet, so no member realizes the empty trace and
-        # every candidate joins the family; the generator's own refusals
-        # come first
+        # every candidate joins the family, whose d-subsets are then all
+        # shared: every member is a row of the occupancy pass. The
+        # generator's own refusals come first
         check_random_generation(n, d)
-        check_occupancy_work(comb(n, d + 1), d + 1)
+        size = comb(n, d + 1)
+        check_occupancy_work(size, d + 1, size)
     t0 = time.monotonic()
     summary = CampaignSummary(n=n, d=d, count=count, seed0=seed0)
     seeds = range(seed0, seed0 + count)

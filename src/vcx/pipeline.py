@@ -29,6 +29,7 @@ from .certificates import (
     CertificateAssignment,
     build_assignment,
     fiber_shape_elements,
+    lone_subsets,
 )
 from .errors import InvariantViolation, MemberShattered, UsageError
 from .families import MAX_GEN_CANDIDATES, UniformFamily
@@ -142,27 +143,35 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
     disjointness argument work); a member that can now do size d takes the
     canonical least size-d certificate.
 
-    When nothing is dropped, G is F itself and its assignment is F's, with
-    the occupancy pass, strata and shadow counts already built; a second
-    occupancy pass runs only when pairing or the low strata drop members.
-    Either way every survivor goes through the checks below.
+    G's members with a d-subset that no other survivor holds take the first
+    one in preference order (certificates.lone_subsets), and the rest, G's
+    low members, go through one occupancy_words pass against G. When nothing
+    is dropped, G is F itself and its assignment is F's, with the occupancy
+    pass, strata and shadow counts already built; the second pass runs only
+    when pairing or the low strata drop members. Either way every survivor
+    goes through the checks below.
     """
     fam = assign.family
     d = assign.d
     if not pc.paired and min(assign.strata, default=d) >= d - 1:
         sub, occ = fam, assign.occupancy
+        certs = map(assign.assigned.__getitem__, fam.masks)
+        picks = [c if c.bit_count() == d else None for c in certs]
     else:
         keep = tuple(
             m for m in fam.masks if assign.assigned[m].bit_count() >= d - 1 and m not in pc.paired
         )
         sub = UniformFamily(fam.n, fam.k, keep)
-        occ = occupancy_words(sub.masks, sub.k)
+        picks = lone_subsets(sub)
+        occ = occupancy_words([m for m, pick in zip(keep, picks) if pick is None], sub.k, keep)
     cg = {}
-    for m, cert, word in zip(sub.masks, occ.certificates, occ.words):
-        size = None if cert is None else cert.bit_count()
-        if size == d:
-            cg[m] = cert
+    low = zip(occ.certificates, occ.words)
+    for m, pick in zip(sub.masks, picks):
+        if pick is not None:
+            cg[m] = pick
             continue
+        cert, word = next(low)
+        size = None if cert is None else cert.bit_count()
         if size is None or size < d - 1:
             raise InvariantViolation(
                 f"member {m:#x} has maximum survivor certificate of size {size}, "
@@ -179,8 +188,8 @@ def build_g_and_reassign(assign: CertificateAssignment, pc: PairCollection):
             )
         cg[m] = old
     # with nothing dropped, a canonical assignment reassigns to itself: the
-    # same pass picks the size-d certificates and every other member keeps its
-    # own, so F's assignment, strata already grouped, serves as G's
+    # same shadow counts pick the size-d certificates and every other member
+    # keeps its own, so F's assignment, strata already grouped, serves as G's
     if sub is fam and cg == assign.assigned:
         assign_g = assign
     else:

@@ -9,13 +9,17 @@ preference(k) is the canonical order of the proper traces, largest first and
 the least compressed index first within a size; a member's certificate is the
 first of them it leaves unrealized. occupancy_words is the one certificate
 kernel for certificate assignment and the pipeline: one batch pass gives
-every member its occupancy word and that certificate. The pass is numpy
-while a word fits 64 bits (k <= 6) and the family's |F| x |F| temporaries
-stay small; every other family takes the split pass, which splits the member
-bitset on each member with split_by_trace, the generator's kernel, and reads
-the word off the nonzero parts. compress_trace reads a trace's compressed
-index from the member mask alone: each trace element sets the index bit of
-its rank among the member's elements.
+each of the rows it is handed its occupancy word and that certificate, over
+the traces of a given family's members (the rows themselves by default). The
+checker hands it only the members whose size-(k-1) traces are all realized,
+since a (k-1)-set is a trace on a member exactly when another member holds
+it, which the family's shadow counts tell. The pass is numpy while a word
+fits 64 bits (k <= 6) and its rows x members temporaries stay small; every
+other call takes the split pass, which splits the members' bitset on each
+row with split_by_trace, the generator's kernel, and reads the word off the
+nonzero parts. compress_trace reads a trace's compressed index from the
+member mask alone: each trace element sets the index bit of its rank among
+the member's elements.
 
 TraceTracker, the generator's incremental form, is plain Python over the
 candidate table of (n, k): every k-subset of [n] with its position, and per
@@ -36,11 +40,11 @@ from .errors import InvariantViolation
 # the narrowest that holds it (uint8 up to k = 3, uint64 at k = 6), so it
 # needs 2^k <= 64 bits
 _NUMPY_MAX_K = 6
-# the numpy path holds |F| x |F| temporaries; at this many pairs (4,096
-# members) that is 16 MiB of uint8 compressed traces, which hold the words in
-# place up to k = 3, plus words of 32 MiB (uint16) at k = 4 up to 128 MiB
-# (uint64) at k = 6. Larger families take the split pass, which holds |F|
-# bits per part
+# the numpy path holds rows x members temporaries; at this many pairs (4,096
+# rows against 4,096 members; AK(40,3) needs 775 x 9,175) that is 16 MiB of
+# uint8 compressed traces, which hold the words in place up to k = 3, plus
+# words of 32 MiB (uint16) at k = 4 up to 128 MiB (uint64) at k = 6. Larger
+# calls take the split pass, which holds |F| bits per part
 _NUMPY_MAX_PAIRS = 1 << 24
 _WORD_TYPES = (np.uint8, np.uint8, np.uint8, np.uint8, np.uint16, np.uint32, np.uint64)
 _BIT_INDEX = np.arange(63, dtype=np.int64)
@@ -115,40 +119,46 @@ def compress_trace(trace_mask: int, mask: int) -> int:
 
 
 class Occupancy(NamedTuple):
-    """occupancy_words' result: one entry per member, in input order.
+    """occupancy_words' result: one entry per row, in input order.
 
-    words holds each member's occupancy word: bit c is set when some member's
-    trace on it, its own full trace included, has compressed index c
-    (compress_trace(other & mask, mask)). certificates holds each member's
-    canonical maximum certificate as a mask (the least unrealized proper trace
-    of the largest size), or None for a shattered member, which has no
-    certificate.
+    words holds each row's occupancy word: bit c is set when some member's
+    trace on it has compressed index c (compress_trace(member & row, row)),
+    the row's own full trace included when the row is a member. certificates
+    holds each row's canonical maximum certificate as a mask (the least
+    unrealized proper trace of the largest size), or None for a shattered
+    row, which has no certificate.
     """
 
     words: list
     certificates: list
 
 
-def occupancy_words(masks, k: int) -> Occupancy:
-    """Occupancy word and canonical certificate of every member."""
+def occupancy_words(masks, k: int, among=None) -> Occupancy:
+    """Occupancy word and canonical certificate of every row of masks, over
+    the traces of the members of among (masks itself when None)."""
+    if among is None:
+        among = masks
     if len(masks) == 0:
         return Occupancy([], [])
-    if 1 <= k <= _NUMPY_MAX_K and len(masks) ** 2 <= _NUMPY_MAX_PAIRS:
-        return _occupancy_numpy(masks, k)
-    return _occupancy_split(masks, k)
+    if 1 <= k <= _NUMPY_MAX_K and len(masks) * len(among) <= _NUMPY_MAX_PAIRS:
+        return _occupancy_numpy(masks, k, among)
+    return _occupancy_split(masks, k, among)
 
 
-def _occupancy_numpy(masks, k: int) -> Occupancy:
+def _occupancy_numpy(masks, k: int, among) -> Occupancy:
     m = len(masks)
     word_type = _WORD_TYPES[k]
-    arr = np.array(masks, dtype=np.int64)
-    bits = (arr[:, None] >> _BIT_INDEX[: max(masks).bit_length()]).astype(np.uint8)
+    shifts = _BIT_INDEX[: max(masks).bit_length()]
+    bits = (np.array(masks, dtype=np.int64)[:, None] >> shifts).astype(np.uint8)
     bits &= 1
-    # pos[t, i]: bit position t of member i, ascending in t
+    # pos[t, i]: bit position t of row i, ascending in t
     pos = np.nonzero(bits)[1].reshape(m, k).T.copy()
     # has[p, j] << t: member j holds bit p, pre-shifted to trace bit t. The
-    # trace of member j on member i compresses to the OR over t of
+    # trace of member j on row i compresses to the OR over t of
     # has[pos[t, i], j] << t.
+    if among is not masks:
+        bits = (np.array(among, dtype=np.int64)[:, None] >> shifts).astype(np.uint8)
+        bits &= 1
     has = bits.T.copy()
     comp = has[pos[0]]
     for t in range(1, k):
@@ -157,7 +167,7 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     word = comp.astype(word_type, copy=False)
     np.left_shift(word_type(1), word, out=word)
     occ = np.bitwise_or.reduce(word, axis=1)
-    # each member's first clear bit in preference order. Every shift stays in
+    # each row's first clear bit in preference order. Every shift stays in
     # one dtype (numpy 2 refuses uint64 >> int64): word_type for the bit test,
     # int64 for the decode
     order = np.array(preference(k), dtype=word_type)
@@ -166,19 +176,19 @@ def _occupancy_numpy(masks, k: int) -> Occupancy:
     shifts = np.arange(k, dtype=np.int64)[:, None]
     certs = ((index >> shifts & 1) << pos).sum(axis=0).tolist()
     words = occ.tolist()
-    full = (1 << (1 << k)) - 1  # a shattered member's word: every bit set
+    full = (1 << (1 << k)) - 1  # a shattered row's word: every bit set
     if full in words:
         certs = [None if w == full else c for c, w in zip(certs, words)]
     return Occupancy(words, certs)
 
 
-def _occupancy_split(masks, k: int) -> Occupancy:
-    """occupancy_words on member bitsets: the realized traces on a member are
-    the nonzero parts of split_by_trace on it, ceil(|F| / 64) words per part
-    and 2^k parts per member."""
+def _occupancy_split(masks, k: int, among) -> Occupancy:
+    """occupancy_words on member bitsets: the realized traces on a row are
+    the nonzero parts of split_by_trace on it, ceil(|among| / 64) words per
+    part and 2^k parts per row."""
     n = max(masks).bit_length()
-    has = dict(zip((1 << x for x in range(n)), holder_bitsets(masks, n)))
-    whole = (1 << len(masks)) - 1
+    has = dict(zip((1 << x for x in range(n)), holder_bitsets(among, n)))
+    whole = (1 << len(among)) - 1
     words, certs = [], []
     for mask in masks:
         occ = 0

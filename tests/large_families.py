@@ -1,11 +1,12 @@
-"""Check the families at the paper's scale that Tier-1 leaves out.
+"""Report seconds and peak RSS of the checks at the paper's scale.
 
 AK(63,3) (37,879 members) and star(63,3) (37,820) go through check_family and
-must keep their audit slacks of 60 and 0; the cell `vcx fuzz --n 16 --d 7
---count 1`, a 5,970-member family at k = 8, must exit 0. Each case runs in a
-fresh process, so its peak RSS is its own, and prints its size, slack,
-seconds and peak RSS. pytest does not collect this file; run it from the
-repository root:
+must keep their audit slacks of 60 and 0, as they do in Tier-1
+(tests/test_lower_bound.py); the cell `vcx fuzz --n 16 --d 7 --count 1`, a
+5,970-member family at k = 8 that Tier-1 leaves out, must exit 0. Each case
+runs in a fresh process, so its peak RSS is its own, and prints its size,
+slack, seconds and peak RSS. pytest does not collect this file; run it from
+the repository root:
 
     PYTHONPATH=src python tests/large_families.py
 

@@ -118,26 +118,61 @@ def test_assignment_validate_catches_non_canonical_choice():
 
 
 def test_validate_refuses_a_size_d_certificate_with_two_supersets():
-    """Words read from {1,2,3} alone leave {1,2} clear on it, so {1,2} passes
-    as its canonical certificate, but the family also holds {1,2,4}."""
+    """{1,2} is {1,2,3}'s first d-subset in preference order, but the family
+    also holds {1,2,4}, so it is realized on {1,2,3}: a size-d certificate
+    must have one superset in the family."""
     fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
-    alone = build_assignment(UniformFamily.from_masks(4, 3, [w(1, 2, 3)]), 2)
     real = build_assignment(fam, 2)
-    words = [alone.occupancy.words[0], real.occupancy.words[1]]
     assigned = {w(1, 2, 3): w(1, 2), w(1, 2, 4): real.assigned[w(1, 2, 4)]}
-    custom = CertificateAssignment(fam, 2, assigned, Occupancy(words, list(assigned.values())))
+    custom = CertificateAssignment(fam, 2, assigned, real.occupancy)
     with pytest.raises(InvariantViolation, match="pin a unique superset member"):
         custom.validate()
 
 
+@pytest.mark.parametrize(
+    "cert", [w(2, 3), w(1)], ids=["second-lone-d-subset", "size-d-1-beside-a-lone-d-subset"]
+)
+def test_validate_refuses_a_pick_past_the_first_lone_d_subset(cert):
+    """{1,3} and {2,3} lie in {1,2,3} alone, so its certificate is {1,3},
+    the first of them in preference order ({1,2} is shared with {1,2,4}):
+    the second lone d-subset and any smaller set are refused."""
+    fam = UniformFamily.from_element_lists(4, 3, [[1, 2, 3], [1, 2, 4]])
+    real = build_assignment(fam, 2)
+    assert real.assigned[w(1, 2, 3)] == w(1, 3) and real.occupancy.words == []
+    assigned = dict(real.assigned)
+    assigned[w(1, 2, 3)] = cert
+    custom = CertificateAssignment(fam, 2, assigned, real.occupancy)
+    with pytest.raises(InvariantViolation, match="canonical"):
+        custom.validate()
+
+
 def test_validate_refuses_a_size_d_minus_1_fiber_of_four():
-    """Four members through 1 whose words leave only {1} clear below the
-    size-2 traces: each takes {1}, a fiber of 4."""
-    fam = UniformFamily.from_element_lists(9, 3, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [1, 8, 9]])
+    """Four members through 1, each of whose 2-subsets also lies in a member
+    with an element of its own, and words that leave only {1} clear below
+    the size-2 traces: each takes {1}, a fiber of 4."""
+    four = [[1, 2, 3], [1, 4, 5], [1, 6, 7], [1, 8, 9]]
+    pairs = [pair for member in four for pair in combinations(member, 2)]
+    extra = [[*pair, 10 + i] for i, pair in enumerate(pairs)]
+    fam = UniformFamily.from_element_lists(21, 3, four + extra)
+    assigned = dict(build_assignment(fam, 2).assigned)
+    for member in four:
+        assigned[mask_of(member)] = w(1)
     word = 0xFF & ~(1 << 0b001)  # every trace but compressed index 1, the lowest element
-    assigned = {m: w(1) for m in fam}
     custom = CertificateAssignment(fam, 2, assigned, Occupancy([word] * 4, [w(1)] * 4))
     with pytest.raises(InvariantViolation, match="has 4 > 3 members"):
+        custom.validate()
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-word-too-many", "one-word-too-few"])
+def test_validate_refuses_a_word_count_that_differs_from_the_low_members(extra):
+    """FOUR_FAM's one low member, {3,4,5}, carries the one word; one more or
+    one fewer is refused."""
+    assign = build_assignment(FOUR_FAM, 2)
+    words, certs = assign.occupancy
+    assert len(words) == 1
+    occ = Occupancy(words + [words[0]], certs + certs) if extra > 0 else Occupancy([], [])
+    custom = CertificateAssignment(FOUR_FAM, 2, assign.assigned, occ)
+    with pytest.raises(InvariantViolation, match="domain differs"):
         custom.validate()
 
 

@@ -110,14 +110,19 @@ def _agreement_cases():
 
 def test_occupancy_paths_agree():
     """The numpy pass (k = 1..6) and the split pass (k = 0..8) agree with the
-    pairwise oracle on words and the canonical certificate."""
+    pairwise oracle on words and the canonical certificate, on every member
+    and on every other member's row against the whole family."""
     shattered = 0
     for k, masks in _agreement_cases():
-        want = oracle_occupancy([elements_of(m) for m in masks])
-        assert _occupancy_split(masks, k) == want, (k, masks)
-        if 1 <= k <= 6:
-            assert _occupancy_numpy(masks, k) == want, (k, masks)
-        shattered += want[1].count(None)
+        words, certs = oracle_occupancy([elements_of(m) for m in masks])
+        for step in (1, 2):
+            rows = masks[::step]
+            want = (words[::step], certs[::step])
+            assert _occupancy_split(rows, k, masks) == want, (k, step, masks)
+            if 1 <= k <= 6:
+                assert _occupancy_numpy(rows, k, masks) == want, (k, step, masks)
+            assert occupancy_words(rows, k, masks) == want, (k, step, masks)
+        shattered += certs.count(None)
     assert shattered >= 9  # each k's shattered family has one shattered member
 
 
@@ -138,11 +143,11 @@ def test_occupancy_certificates_match_the_oracle():
 
 
 def test_occupancy_above_six_takes_the_python_path(monkeypatch):
-    """k = 7, and 4,097 members at k = 3, one past numpy's pair cap, both take
-    the split pass; the large family's words are held to the numpy pass run
-    directly."""
+    """k = 7, and 4,096 rows against a 4,097-member family at k = 3, 4,096
+    pairs past numpy's cap of rows x members, both take the split pass; the
+    large call's words are held to the numpy pass run directly."""
 
-    def refuse(masks, k):
+    def refuse(masks, k, among):
         raise AssertionError("numpy path used")
 
     rng = SplitMix64(3)
@@ -150,10 +155,14 @@ def test_occupancy_above_six_takes_the_python_path(monkeypatch):
     large = list(k_subset_masks(31, 3))
     rng.shuffle(large)
     large = sorted(large[:4097])
-    want = {7: oracle_occupancy([elements_of(m) for m in wide]), 3: _occupancy_numpy(large, 3)}
+    rows = large[:4096]
+    want = {
+        7: oracle_occupancy([elements_of(m) for m in wide]),
+        3: _occupancy_numpy(rows, 3, large),
+    }
     monkeypatch.setattr(traces, "_occupancy_numpy", refuse)
     assert occupancy_words(wide, 7) == want[7]
-    assert occupancy_words(large, 3) == want[3]
+    assert occupancy_words(rows, 3, large) == want[3]
 
 
 def test_occupancy_semantics_by_hand():
